@@ -4,7 +4,7 @@ Subcommands: check-bound, find-flow, verify-flow, gen-extremal, simulate,
 order.  Output is line oriented and ends with a machine-readable line of
 the form "VERDICT: <status> [key=value ...]".  Exit codes are a stable
 contract: 0 success / property holds, 1 no flow / property fails, 2 input
-error, 3 undecided.
+error; 3 is reserved and never returned.
 """
 
 from __future__ import annotations
@@ -15,11 +15,8 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from flowscope.extremal import ExtremalPartition, gamma, generate_extremal
 from flowscope.flow import (
-    DEFAULT_MATCHING_BUDGET,
     DEFAULT_ORACLE_BOUND,
     CausalFlow,
     FlowDomainError,
@@ -49,7 +46,6 @@ DEFECT_THRESHOLD = 1e-9
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
-EXIT_UNDECIDED = 3
 
 
 class CliError(ValueError):
@@ -157,9 +153,9 @@ def cmd_find_flow(args: argparse.Namespace) -> int:
         report.emit()
         return EXIT_OK
 
-    result = find_causal_flow(geom, budget=args.budget)
+    result = find_causal_flow(geom)
     if result.status == "found":
-        report.say(f"flow found after {result.tried} matching(s)")
+        report.say("flow found")
         _print_flow(report, geom, result.flow)
         if args.out:
             Path(args.out).write_text(dump_flow(geom, result.flow, result.cover))
@@ -167,11 +163,6 @@ def cmd_find_flow(args: argparse.Namespace) -> int:
         report.verdict("flow-found")
         report.emit()
         return EXIT_OK
-    if result.status == "undecided":
-        report.say(f"search budget exhausted after {result.tried} matching(s)")
-        report.verdict("undecided")
-        report.emit()
-        return EXIT_UNDECIDED
     if result.reason == "edge-bound":
         report.say("no flow: edge count exceeds the gamma bound")
     elif result.reason == "no-cover":
@@ -180,6 +171,8 @@ def cmd_find_flow(args: argparse.Namespace) -> int:
         report.say("no flow: every candidate matching induces a cyclic influencing digraph")
         if result.cycle:
             report.say("cycle witness: " + " -> ".join(geom.label_of(v) for v in result.cycle))
+    if result.obstruction:
+        report.say("obstruction: " + " ".join(geom.label_of(v) for v in result.obstruction))
     report.verdict("no-flow", reason=result.reason)
     report.emit()
     return EXIT_NEGATIVE
@@ -269,6 +262,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.angles:
         draws = [_parse_angle_args(geom, args.angles)]
     elif args.random_angles:
+        import numpy as np
+
         rng = np.random.default_rng(args.seed)
         draws = [draw_angles(geom.measured, rng) for _ in range(args.random_angles)]
     else:
@@ -334,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("find-flow", parents=[common], help="decide flow existence, construct one")
     p.add_argument("geometry")
     p.add_argument("--oracle", action="store_true", help="use the exhaustive oracle")
-    p.add_argument("--budget", type=int, default=DEFAULT_MATCHING_BUDGET, help="matching budget")
     p.add_argument("--out", help="write the found flow to this file")
     p.set_defaults(handler=cmd_find_flow)
 

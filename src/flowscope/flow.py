@@ -3,11 +3,15 @@
 A causal flow pairs every measured vertex x with an adjacent partner f(x)
 outside the input set, so that some vertex order puts x strictly before
 f(x) and before every other neighbour of f(x).  Such an order exists for a
-given f exactly when the induced influencing digraph is acyclic, so the
-decision pipeline enumerates candidate functions (as saturating bipartite
-matchings) and tests each digraph.  On instances too large to enumerate
-exhaustively the pipeline stops at a configurable budget and returns an
-explicit ``undecided`` verdict rather than guessing.
+given f exactly when the induced influencing digraph is acyclic.
+
+The decision runs the backward greedy of Mhalla and Perdrix ("Finding
+optimal flows efficiently", arXiv:0709.2670) in O(n + m): starting from
+the outputs, a processed vertex with exactly one unprocessed neighbour
+becomes that neighbour's partner.  The greedy is complete, so every
+geometry is decided, and the flow it builds has minimum depth.  When it
+stalls, the vertices it never processed form a no-flow certificate that
+``verify_obstruction`` checks in O(n + m).
 """
 
 from __future__ import annotations
@@ -19,13 +23,11 @@ from functools import cached_property
 from typing import Iterable, Literal, NamedTuple
 
 from flowscope.geometry import Digraph, Geometry, GeometryError
-from flowscope.matching import iter_saturating_assignments, max_matching_size
+from flowscope.matching import max_matching
 
-DEFAULT_MATCHING_BUDGET = 1000
-DEFAULT_EXHAUSTIVE_BOUND = 10
 DEFAULT_ORACLE_BOUND = 10
 
-SearchStatus = Literal["found", "no-flow", "undecided"]
+SearchStatus = Literal["found", "no-flow"]
 
 
 class FlowDomainError(ValueError):
@@ -216,10 +218,12 @@ class AcyclicityResult(NamedTuple):
 class FlowSearchResult:
     """Verdict of the flow pipeline.
 
-    ``status`` is "found", "no-flow", or "undecided".  A no-flow verdict
-    carries a reason tag ("edge-bound", "no-cover", or "cyclic-D") and,
-    for cyclic-D, the cycle found in the first candidate's digraph.
-    ``tried`` counts the saturating matchings examined.
+    ``status`` is "found" or "no-flow".  A no-flow verdict carries a reason
+    tag ("edge-bound", "no-cover", or "cyclic-D"); for cyclic-D, ``cycle``
+    is a cycle of the influencing digraph of one saturating matching.
+    Unless the edge gate decided, a no-flow verdict also carries
+    ``obstruction``, the vertices the greedy never processed, ascending;
+    ``verify_obstruction`` accepts it.
     """
 
     status: SearchStatus
@@ -227,7 +231,7 @@ class FlowSearchResult:
     cover: PathCover | None = None
     reason: str | None = None
     cycle: tuple[int, ...] | None = None
-    tried: int = 0
+    obstruction: tuple[int, ...] | None = None
 
 
 def verify_flow(geom: Geometry, flow: CausalFlow) -> FlowCheck:
@@ -411,58 +415,78 @@ def _splice_orbits(vertex_count: int, succ: dict[int, int]) -> tuple[tuple[int, 
     return tuple(paths)
 
 
-def find_path_cover(
-    geom: Geometry,
-    *,
-    budget: int = DEFAULT_MATCHING_BUDGET,
-    exhaustive_bound: int = DEFAULT_EXHAUSTIVE_BOUND,
-) -> PathCover | None:
-    """Search for a path cover via saturating matchings.
-
-    Returns None when no saturating matching exists (then no flow exists
-    either), when every matching tried splices into a cycle, or when the
-    budget runs out on a large instance.  Instances with at most
-    ``exhaustive_bound`` vertices are enumerated completely.
-    """
-    n = geom.vertex_count
-    if n == 0:
-        return PathCover(())
-    if geom.output_count == 0:
-        return None
-    measured, candidates = _candidate_table(geom)
-    limit = None if n <= exhaustive_bound else budget
-    tried = 0
-    for assignment in iter_saturating_assignments(candidates):
-        if limit is not None and tried >= limit:
-            return None
-        tried += 1
-        paths = _splice_orbits(n, dict(zip(measured, assignment)))
-        if paths is not None:
-            return PathCover(paths)
-    return None
-
-
 def _empty_flow_result() -> FlowSearchResult:
     flow = CausalFlow(SuccessorFunction(()), ())
-    return FlowSearchResult("found", flow=flow, cover=PathCover(()), tried=0)
+    return FlowSearchResult("found", flow=flow, cover=PathCover(()))
 
 
-def find_causal_flow(
-    geom: Geometry,
-    *,
-    budget: int = DEFAULT_MATCHING_BUDGET,
-    exhaustive_bound: int = DEFAULT_EXHAUSTIVE_BOUND,
-) -> FlowSearchResult:
-    """Decide flow existence and construct a flow when one exists.
+def _backward_greedy(geom: Geometry) -> tuple[dict[int, int], list[int], list[int]]:
+    """Partners and layers from the outputs backwards, plus the unprocessed rest.
+
+    A corrector is a processed non-input vertex not yet used as a partner.
+    In each round every corrector with exactly one unprocessed neighbour u
+    claims it, the smallest corrector winning ties, and all claimed
+    vertices form the next layer.  Per vertex the count of unprocessed
+    neighbours and the XOR of their ids are kept, so a count of one names
+    the neighbour, and a corrector is queued when its count drops to one.
+    """
+    n = geom.vertex_count
+    adj = geom.graph.adjacency
+    inputs = geom.inputs
+    processed = [False] * n
+    for v in geom.outputs:
+        processed[v] = True
+    count = [0] * n
+    xor = [0] * n
+    for v, nbrs in enumerate(adj):
+        c = x = 0
+        for w in nbrs:
+            if not processed[w]:
+                c += 1
+                x ^= w
+        count[v] = c
+        xor[v] = x
+    used = [False] * n
+    succ: dict[int, int] = {}
+    layer = [0] * n
+    depth = 0
+    ready = [v for v in geom.outputs if count[v] == 1 and v not in inputs]
+    while ready:
+        claims: dict[int, int] = {}
+        for v in ready:
+            # Skip entries whose last neighbour was claimed after they were queued.
+            if count[v] == 1 and claims.get(xor[v], n) > v:
+                claims[xor[v]] = v
+        if not claims:
+            break
+        depth += 1
+        ready = []
+        for u, v in claims.items():
+            succ[u] = v
+            used[v] = True
+            layer[u] = depth
+            for w in adj[u]:
+                count[w] -= 1
+                xor[w] ^= u
+                if count[w] == 1 and processed[w] and not used[w] and w not in inputs:
+                    ready.append(w)
+        for u in claims:
+            processed[u] = True
+            if count[u] == 1 and u not in inputs:
+                ready.append(u)
+    return succ, layer, [v for v in range(n) if not processed[v]]
+
+
+def find_causal_flow(geom: Geometry) -> FlowSearchResult:
+    """Decide flow existence and construct a minimum-depth flow when one exists.
 
     Pipeline: reject immediately when the edge count exceeds the gamma
-    bound for k = |outputs|; then enumerate saturating matchings between
-    measured vertices and allowed partners, returning the first whose
-    influencing digraph is acyclic.  Orbit cycles are covered by the same
-    test, since a cyclic orbit is itself a digraph cycle.  When the budget
-    is exhausted before the enumeration completes (only possible above
-    ``exhaustive_bound`` vertices) the verdict is "undecided", never a
-    false no.
+    bound for k = |outputs|; then run the backward greedy, whose layer
+    l(v) gives the rank depth - l(v).  When the greedy stalls, no flow
+    exists and the unprocessed vertices are the obstruction.  One maximum
+    matching then names the reason: "no-cover" when measured vertices
+    cannot all be matched to distinct partners, otherwise "cyclic-D" with
+    a cycle of that matching's influencing digraph.
     """
     from flowscope.extremal import gamma  # local import: extremal builds on this module
 
@@ -470,37 +494,55 @@ def find_causal_flow(
     k = geom.output_count
     if n == 0:
         return _empty_flow_result()
-    if k == 0:
-        # k paths must cover n > 0 vertices; impossible with zero paths.
-        return FlowSearchResult("no-flow", reason="no-cover")
-    if geom.graph.edge_count > gamma(n, k):
+    if k >= 1 and geom.graph.edge_count > gamma(n, k):
         return FlowSearchResult("no-flow", reason="edge-bound")
 
-    measured, candidates = _candidate_table(geom)
-    if max_matching_size(candidates) < len(measured):
-        return FlowSearchResult("no-flow", reason="no-cover")
+    succ, layer, unprocessed = _backward_greedy(geom)
+    if not unprocessed:
+        depth = max(layer)
+        flow = CausalFlow(SuccessorFunction.from_pairs(succ.items()), tuple(depth - l for l in layer))
+        paths = _splice_orbits(n, succ)
+        assert paths is not None  # ranks rise along every orbit
+        return FlowSearchResult("found", flow=flow, cover=PathCover(paths))
 
-    limit = None if n <= exhaustive_bound else budget
-    tried = 0
-    first_cycle: tuple[int, ...] | None = None
-    for assignment in iter_saturating_assignments(candidates):
-        if limit is not None and tried >= limit:
-            return FlowSearchResult("undecided", tried=tried)
-        tried += 1
-        succ = SuccessorFunction.from_pairs(zip(measured, assignment))
-        ranks, cycle = acyclic_order(build_influencing_digraph(geom, succ))
-        if ranks is not None:
-            paths = _splice_orbits(n, succ.mapping)
-            assert paths is not None  # acyclic digraph rules out orbit cycles
-            return FlowSearchResult(
-                "found",
-                flow=CausalFlow(succ, ranks),
-                cover=PathCover(paths),
-                tried=tried,
-            )
-        if first_cycle is None:
-            first_cycle = cycle
-    return FlowSearchResult("no-flow", reason="cyclic-D", cycle=first_cycle, tried=tried)
+    obstruction = tuple(unprocessed)
+    if k == 0:
+        # k paths must cover n > 0 vertices; impossible with zero paths.
+        return FlowSearchResult("no-flow", reason="no-cover", obstruction=obstruction)
+    measured, candidates = _candidate_table(geom)
+    matching = max_matching(candidates)
+    if None in matching:
+        return FlowSearchResult("no-flow", reason="no-cover", obstruction=obstruction)
+    _ranks, cycle = acyclic_order(
+        build_influencing_digraph(geom, SuccessorFunction.from_pairs(zip(measured, matching)))
+    )
+    if cycle is None:
+        raise AssertionError("backward greedy stalled on a geometry that has a flow")
+    return FlowSearchResult("no-flow", reason="cyclic-D", cycle=cycle, obstruction=obstruction)
+
+
+def verify_obstruction(geom: Geometry, obstruction: Iterable[int]) -> bool:
+    """Check a no-flow certificate S in O(n + m).
+
+    S must be non-empty and hold no output, and no vertex outside S and
+    the inputs may have exactly one neighbour in S.  Such an S rules out
+    every flow: the last-measured x in S would need a partner f(x) outside
+    S and the inputs whose only neighbour in S is x.
+    """
+    n = geom.vertex_count
+    inside = [False] * n
+    for v in obstruction:
+        if not 0 <= v < n or v in geom.outputs:
+            return False
+        inside[v] = True
+    if not any(inside):
+        return False
+    hits = [0] * n
+    for v, nbrs in enumerate(geom.graph.adjacency):
+        if inside[v]:
+            for w in nbrs:
+                hits[w] += 1
+    return all(hits[w] != 1 for w in range(n) if not inside[w] and w not in geom.inputs)
 
 
 def flow_from_cover(geom: Geometry, cover: PathCover) -> FlowSearchResult:
@@ -520,14 +562,14 @@ def flow_from_cover(geom: Geometry, cover: PathCover) -> FlowSearchResult:
     succ = SuccessorFunction.from_pairs(cover.successor_pairs())
     ranks, cycle = acyclic_order(build_influencing_digraph(geom, succ))
     if ranks is not None:
-        return FlowSearchResult("found", flow=CausalFlow(succ, ranks), cover=cover, tried=1)
-    return FlowSearchResult("no-flow", reason="cyclic-D", cycle=cycle, tried=1)
+        return FlowSearchResult("found", flow=CausalFlow(succ, ranks), cover=cover)
+    return FlowSearchResult("no-flow", reason="cyclic-D", cycle=cycle)
 
 
 def brute_force_flow(geom: Geometry, *, bound: int = DEFAULT_ORACLE_BOUND) -> CausalFlow | None:
     """Exhaustive oracle: try every injective f along edges, smallest first.
 
-    Independent of the matching pipeline on purpose: the influencing arcs
+    Independent of the greedy pipeline on purpose: the influencing arcs
     are rebuilt inline and acyclicity is checked with a colouring DFS, so
     the two routes only share definitions, not code.  Partial assignments
     already containing a digraph cycle are pruned, which is sound because

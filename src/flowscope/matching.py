@@ -1,4 +1,4 @@
-"""Bipartite matching primitives behind the flow search.
+"""Bipartite matching behind the no-flow diagnosis.
 
 Left vertices are the positions 0..len(candidates)-1; ``candidates[i]``
 lists the right vertices available to position i in ascending order.
@@ -7,42 +7,29 @@ lists the right vertices available to position i in ascending order.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 _INF = float("inf")
 
 
-def max_matching_size(
-    candidates: Sequence[Sequence[int]],
-    start: int = 0,
-    used: Iterable[int] = (),
-) -> int:
-    """Maximum matching size of positions start.. onto unused right vertices.
+def max_matching(candidates: Sequence[Sequence[int]]) -> list[int | None]:
+    """A maximum matching: the right vertex of each position, or None.
 
     Hopcroft-Karp with deterministic (ascending) tie-breaking.
     """
-    blocked = set(used)
     right_index: dict[int, int] = {}
-    adj: list[list[int]] = []
-    for i in range(start, len(candidates)):
-        row = []
-        for y in candidates[i]:
-            if y in blocked:
-                continue
-            j = right_index.setdefault(y, len(right_index))
-            row.append(j)
-        adj.append(row)
+    adj = [[right_index.setdefault(y, len(right_index)) for y in row] for row in candidates]
 
     n_left = len(adj)
     match_l = [-1] * n_left
     match_r = [-1] * len(right_index)
     dist: list[float] = [0.0] * n_left
-    matched = 0
     while _bfs_layers(adj, match_l, match_r, dist):
         for u in range(n_left):
-            if match_l[u] == -1 and _augment(u, adj, dist, match_l, match_r):
-                matched += 1
-    return matched
+            if match_l[u] == -1:
+                _augment(u, adj, dist, match_l, match_r)
+    right_vertex = list(right_index)
+    return [right_vertex[j] if j != -1 else None for j in match_l]
 
 
 def _bfs_layers(adj, match_l, match_r, dist) -> bool:
@@ -97,47 +84,3 @@ def _augment(root, adj, dist, match_l, match_r) -> bool:
             its.pop()
             vs.pop()
     return False
-
-
-def iter_saturating_assignments(
-    candidates: Sequence[Sequence[int]],
-) -> Iterator[tuple[int, ...]]:
-    """Yield every assignment saturating all positions, lexicographically.
-
-    An assignment picks a distinct right vertex for every position from its
-    candidate list.  Dead branches are pruned with a matching feasibility
-    check, so consecutive yields are separated by polynomial work.
-    """
-    n = len(candidates)
-    if n == 0:
-        yield ()
-        return
-    if max_matching_size(candidates) < n:
-        return
-
-    used: set[int] = set()
-    choice: list[int] = []
-    stack: list[Iterator[int]] = [iter(candidates[0])]
-    while stack:
-        i = len(choice)
-        placed = False
-        for y in stack[-1]:
-            if y in used:
-                continue
-            used.add(y)
-            choice.append(y)
-            if i + 1 == n:
-                yield tuple(choice)
-                used.discard(y)
-                choice.pop()
-                continue
-            if max_matching_size(candidates, i + 1, used) == n - i - 1:
-                stack.append(iter(candidates[i + 1]))
-                placed = True
-                break
-            used.discard(y)
-            choice.pop()
-        if not placed:
-            stack.pop()
-            if choice:
-                used.discard(choice.pop())

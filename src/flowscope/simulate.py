@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from flowscope.flow import CausalFlow
 from flowscope.geometry import Geometry
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_QUBIT_BOUND = 12
 
@@ -59,6 +60,8 @@ class LinearMap:
     input_qubits: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         expected = (1 << len(self.output_qubits), 1 << len(self.input_qubits))
         if self.matrix.shape != expected:
             raise ValueError(f"matrix shape {self.matrix.shape} does not match {expected}")
@@ -97,6 +100,8 @@ def simulate_postselected(
     visit each measured vertex exactly once but is otherwise unchecked,
     which lets tests drive deliberately invalid orders.
     """
+    import numpy as np
+
     geom = pattern.geometry
     n = geom.vertex_count
     if n > max_qubits:
@@ -139,6 +144,8 @@ def isometry_defect(v: LinearMap) -> float:
     Zero exactly when the map is a positive multiple of an isometry.  A
     zero map has no Gram direction at all and raises ZeroMapError.
     """
+    import numpy as np
+
     m = v.matrix
     if not np.any(m):
         raise ZeroMapError("map is identically zero")

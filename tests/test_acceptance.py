@@ -22,7 +22,6 @@ from flowscope import (
     build_influencing_digraph,
     draw_angles,
     find_causal_flow,
-    find_path_cover,
     flow_from_cover,
     gamma,
     generate_extremal,
@@ -31,11 +30,15 @@ from flowscope import (
     load_geometry,
     simulate_postselected,
     verify_flow,
+    verify_obstruction,
 )
 
-from .conftest import SIX_CYCLE_TEXT
+from .conftest import SIX_CYCLE_TEXT, first_path_cover
 
 ANGLE_DRAWS = 20
+# Instances in the criterion-4 sweep; the input variants depend on which
+# path cover is found first, so a change of that rule shows here.
+SMALL_SWEEP_INSTANCES = 30596
 DEFECT_TOLERANCE = 1e-9
 
 
@@ -89,12 +92,13 @@ def small_geometry_sweep():
             for osub in itertools.combinations(range(n), size):
                 outputs = frozenset(osub)
                 variants = {frozenset(), outputs}
-                cover = find_path_cover(Geometry(graph, frozenset(), outputs))
+                cover = first_path_cover(Geometry(graph, frozenset(), outputs))
                 if cover is not None:
                     variants.add(frozenset(cover.initial_points()))
                 for inputs in sorted(variants, key=sorted):
                     geom = Geometry(graph, inputs, outputs)
                     rows.append((geom, brute_force_flow(geom), find_causal_flow(geom)))
+    assert len(rows) == SMALL_SWEEP_INSTANCES
     return rows
 
 
@@ -171,6 +175,20 @@ def test_criterion_4_oracle_equivalence(small_geometry_sweep):
         ok,
         f"{len(small_geometry_sweep)} instances, disagreements={disagreements}, "
         f"undecided={undecided}, unsound={unsound}",
+    )
+
+
+def test_no_flow_certificates_verify(small_geometry_sweep):
+    checked = 0
+    rejected = 0
+    for geom, _oracle, result in small_geometry_sweep:
+        if result.status == "no-flow" and result.reason != "edge-bound":
+            checked += 1
+            rejected += not verify_obstruction(geom, result.obstruction)
+    report(
+        "4b (no-flow certificates)",
+        checked > 0 and rejected == 0,
+        f"{checked} obstructions, rejected={rejected}",
     )
 
 

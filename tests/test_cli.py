@@ -109,7 +109,7 @@ class TestFindFlow:
         assert data["successor"] == {"v1": "v2", "v2": "v3"}
         assert data["paths"] == [["v1", "v2", "v3"]]
 
-    def test_budget_zero_large_instance_undecided(self, capsys, tmp_path):
+    def test_large_instance_decided(self, capsys, tmp_path):
         labels = [f"n{i}" for i in range(12)]
         payload = {
             "vertices": labels,
@@ -119,9 +119,21 @@ class TestFindFlow:
         }
         f = tmp_path / "long_path.json"
         f.write_text(json.dumps(payload))
-        code, out, _ = run_cli(capsys, "find-flow", str(f), "--budget", "0")
-        assert code == 3
-        assert verdict_line(out) == "VERDICT: undecided"
+        code, out, _ = run_cli(capsys, "find-flow", str(f))
+        assert code == 0
+        assert verdict_line(out) == "VERDICT: flow-found"
+        assert "depth: 11" in out
+
+    def test_budget_option_removed(self, capsys, path_file):
+        with pytest.raises(SystemExit) as exc:
+            main(["find-flow", path_file, "--budget", "0"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+
+    def test_six_cycle_names_obstruction(self, capsys, six_cycle_file):
+        code, out, _ = run_cli(capsys, "find-flow", six_cycle_file)
+        assert code == 1
+        assert "obstruction: a0 a1 a2" in out.splitlines()
 
     def test_oracle_mode(self, capsys, six_cycle_file, path_file):
         code, out, _ = run_cli(capsys, "find-flow", six_cycle_file, "--oracle")
@@ -262,3 +274,12 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 1
     assert proc.stdout.strip() == "VERDICT: no-flow reason=cyclic-D"
+
+
+def test_cli_import_skips_numpy():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import flowscope.cli, sys; assert 'numpy' not in sys.modules"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import random
+import time
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowscope import (
     CausalFlow,
+    ExtremalPartition,
     FlowDomainError,
     Geometry,
     Graph,
@@ -19,15 +24,76 @@ from flowscope import (
     build_influencing_digraph,
     dump_flow,
     find_causal_flow,
-    find_path_cover,
     flow_from_cover,
+    gamma,
+    generate_extremal,
     load_flow,
     natural_preorder,
     verify_flow,
+    verify_obstruction,
 )
+from flowscope.flow import _splice_orbits
 from flowscope.geometry import Digraph
 
-from .conftest import geometries, path_geometry
+from .conftest import first_path_cover, geometries, path_geometry, saturating_assignments
+
+
+# 4-cycle with no inputs and two adjacent outputs: it has a flow and four
+# saturating matchings.
+SIDE_SQUARE = Geometry(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)]), frozenset(), frozenset({2, 3}))
+
+
+def grid_geometry(rows: int, cols: int) -> Geometry:
+    """rows x cols grid, inputs the first column, outputs the last."""
+    edges = [(i * cols + j, i * cols + j + 1) for i in range(rows) for j in range(cols - 1)]
+    edges += [(i * cols + j, (i + 1) * cols + j) for i in range(rows - 1) for j in range(cols)]
+    return Geometry(
+        Graph.from_edges(rows * cols, edges),
+        frozenset(i * cols for i in range(rows)),
+        frozenset(i * cols + cols - 1 for i in range(rows)),
+    )
+
+
+def disjoint_union(parts: list[Geometry]) -> Geometry:
+    edges: list[tuple[int, int]] = []
+    inputs: set[int] = set()
+    outputs: set[int] = set()
+    offset = 0
+    for part in parts:
+        edges += [(u + offset, v + offset) for u, v in part.graph.edges()]
+        inputs |= {v + offset for v in part.inputs}
+        outputs |= {v + offset for v in part.outputs}
+        offset += part.vertex_count
+    return Geometry(Graph.from_edges(offset, edges), frozenset(inputs), frozenset(outputs))
+
+
+def random_geometry(rng: random.Random, n: int) -> Geometry:
+    """Random path cover plus chords; inputs mostly drawn from the path starts."""
+    k = rng.randint(1, max(1, n // 2))
+    order = rng.sample(range(n), n)
+    cuts = sorted(rng.sample(range(1, n), k - 1))
+    paths = [order[a:b] for a, b in zip([0, *cuts], [*cuts, n])]
+    edges = {tuple(sorted(e)) for p in paths for e in zip(p, p[1:])}
+    density = rng.uniform(0.0, 0.25)
+    edges |= {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density}
+    pool = [p[0] for p in paths] if rng.random() < 0.7 else range(n)
+    inputs = rng.sample(pool, rng.randint(0, min(3, len(pool))))
+    outputs = frozenset(p[-1] for p in paths)
+    return Geometry(Graph.from_edges(n, sorted(edges)), frozenset(inputs), outputs)
+
+
+def exhaustive_min_depth(geom: Geometry) -> int | None:
+    """Least depth over every flow of the geometry, or None without one."""
+    allowed = set(geom.non_inputs)
+    candidates = [[y for y in geom.graph.adjacency[x] if y in allowed] for x in geom.measured]
+    best = None
+    for assignment in saturating_assignments(candidates):
+        succ = SuccessorFunction.from_pairs(zip(geom.measured, assignment))
+        ranks, _ = acyclic_order(build_influencing_digraph(geom, succ))
+        if ranks is not None:
+            depth = max(ranks, default=0)
+            best = depth if best is None else min(best, depth)
+    return best
 
 
 def forced_six_cycle_flow() -> CausalFlow:
@@ -99,7 +165,7 @@ class TestSuccessorFunction:
     @given(geometries(max_vertices=5))
     @settings(max_examples=60)
     def test_accepted_mappings_are_injective(self, geom):
-        cover = find_path_cover(geom)
+        cover = first_path_cover(geom)
         if cover is None:
             return
         succ = SuccessorFunction.from_mapping(geom, dict(cover.successor_pairs()))
@@ -181,7 +247,7 @@ class TestNaturalPreorder:
     @given(geometries(max_vertices=5))
     @settings(max_examples=60)
     def test_duality_with_digraph_reachability(self, geom):
-        cover = find_path_cover(geom)
+        cover = first_path_cover(geom)
         if cover is None:
             return
         succ = cover.successor()
@@ -206,32 +272,37 @@ class TestNaturalPreorder:
 class TestPathCover:
     def test_path_graph_cover(self):
         geom = path_geometry(3)
-        cover = find_path_cover(geom)
+        cover = find_causal_flow(geom).cover
         assert cover.paths == ((0, 1, 2),)
 
     def test_everything_is_output(self):
         g = Graph.from_edges(3, [(0, 1), (1, 2)])
         geom = Geometry(g, frozenset({0, 1, 2}), frozenset({0, 1, 2}))
-        cover = find_path_cover(geom)
+        cover = find_causal_flow(geom).cover
         assert cover.paths == ((0,), (1,), (2,))
 
     def test_six_cycle_has_cover(self, six_cycle):
-        cover = find_path_cover(six_cycle)
+        # a cover exists although no flow does
+        cover = first_path_cover(six_cycle)
         assert cover is not None
         cover.check(six_cycle)
         assert cover.paths == ((0, 3), (1, 4), (2, 5))
+        assert find_causal_flow(six_cycle).cover is None
 
     def test_two_cycle_splice_rejected(self):
         # single edge, no inputs or outputs: the only saturating matching
         # splices into a 2-cycle, so no cover exists
+        assert _splice_orbits(2, {0: 1, 1: 0}) is None
         g = Graph.from_edges(2, [(0, 1)])
         geom = Geometry(g, frozenset(), frozenset())
-        assert find_path_cover(geom) is None
+        assert first_path_cover(geom) is None
+        assert find_causal_flow(geom).cover is None
 
     def test_triangle_without_outputs(self):
         g = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
         geom = Geometry(g, frozenset(), frozenset())
-        assert find_path_cover(geom) is None
+        assert first_path_cover(geom) is None
+        assert find_causal_flow(geom).cover is None
 
     def test_validation_rejects_bad_covers(self, six_cycle):
         with pytest.raises(PathCoverError, match="adjacent"):
@@ -252,8 +323,8 @@ class TestFindCausalFlow:
         res = find_causal_flow(six_cycle)
         assert res.status == "no-flow"
         assert res.reason == "cyclic-D"
-        assert res.tried == 2
         assert res.cycle == (0, 1, 2)
+        assert res.obstruction == (0, 1, 2)
 
     def test_complete_graph_hits_edge_gate(self):
         g = Graph.from_edges(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])
@@ -289,22 +360,98 @@ class TestFindCausalFlow:
         assert res.status == "found"
         assert res.flow.successor.pairs == ()
 
-    def test_budget_zero_forces_undecided_above_exhaustive_bound(self):
+    def test_long_path_decided(self):
         geom = path_geometry(12)
-        res = find_causal_flow(geom, budget=0)
-        assert res.status == "undecided"
-        assert res.tried == 0
+        res = find_causal_flow(geom)
+        assert res.status == "found"
+        assert verify_flow(geom, res.flow).ok
+        assert res.cover.paths == (tuple(range(12)),)
 
-    def test_budget_zero_still_decides_small_instances(self, six_cycle):
-        res = find_causal_flow(six_cycle, budget=0)
+    @pytest.mark.parametrize(
+        "base, squares",
+        [(path_geometry(12), 5), (grid_geometry(3, 8), 5), (path_geometry(20), 6)],
+        ids=["path12", "grid3x8", "path20"],
+    )
+    def test_six_cycle_unions_with_side_squares_decided(self, six_cycle, base, squares):
+        # Each side square has four saturating matchings, so a search over
+        # matchings grows as 4**squares on these unions.
+        geom = disjoint_union([base, six_cycle, *[SIDE_SQUARE] * squares])
+        res = find_causal_flow(geom)
         assert res.status == "no-flow"
+        assert res.reason == "cyclic-D"
+        offset = base.vertex_count
+        assert res.obstruction == (offset, offset + 1, offset + 2)
+        assert set(res.cycle) == set(res.obstruction)
+        assert verify_obstruction(geom, res.obstruction)
 
     def test_flow_from_cover_matches_search(self):
         geom = path_geometry(5)
-        cover = find_path_cover(geom)
+        cover = find_causal_flow(geom).cover
         res = flow_from_cover(geom, cover)
         assert res.status == "found"
         assert verify_flow(geom, res.flow).ok
+        assert res.flow == find_causal_flow(geom).flow
+
+    def test_depth_is_minimum_over_all_flows(self):
+        # Seeded sample of gate-passing geometries with n <= 7, against an
+        # exhaustive search over every candidate f.
+        rng = random.Random(7)
+        checked = 0
+        while checked < 300:
+            geom = random_geometry(rng, rng.randint(1, 7))
+            if geom.graph.edge_count > gamma(geom.vertex_count, geom.output_count):
+                continue
+            checked += 1
+            res = find_causal_flow(geom)
+            best = exhaustive_min_depth(geom)
+            if best is None:
+                assert res.status == "no-flow"
+            else:
+                assert res.status == "found"
+                assert verify_flow(geom, res.flow).ok
+                assert res.flow.depth == best
+
+    def test_decides_extremal_k5_at_40000_under_one_second(self):
+        geom, _cover = generate_extremal(ExtremalPartition((8000,) * 5))
+        best = float("inf")
+        for _ in range(3):
+            t0 = time.perf_counter()
+            res = find_causal_flow(geom)
+            best = min(best, time.perf_counter() - t0)
+        assert res.status == "found"
+        assert verify_flow(geom, res.flow).ok
+        assert best < 1.0, f"{best:.3f}s"
+
+
+class TestObstruction:
+    def test_six_cycle_certificate(self, six_cycle):
+        assert verify_obstruction(six_cycle, (0, 1, 2))
+
+    def test_dropping_a_vertex_fails(self, six_cycle):
+        for v in (0, 1, 2):
+            assert not verify_obstruction(six_cycle, {0, 1, 2} - {v})
+
+    def test_empty_set_fails(self, six_cycle):
+        assert not verify_obstruction(six_cycle, ())
+
+    def test_outputs_and_unknown_vertices_fail(self, six_cycle):
+        assert not verify_obstruction(six_cycle, (0, 1, 2, 3))
+        assert not verify_obstruction(six_cycle, (0, 1, 2, 6))
+
+    def test_no_cover_certificate(self):
+        g = Graph.from_edges(2, [(0, 1)])
+        geom = Geometry(g, frozenset({1}), frozenset({1}))
+        res = find_causal_flow(geom)
+        assert res.reason == "no-cover"
+        assert res.obstruction == (0,)
+        assert verify_obstruction(geom, res.obstruction)
+
+    @given(geometries(max_vertices=5), st.randoms(use_true_random=False))
+    @settings(max_examples=150, deadline=None)
+    def test_accepted_sets_rule_out_flows(self, geom, rng):
+        subset = [v for v in range(geom.vertex_count) if rng.random() < 0.5]
+        if verify_obstruction(geom, subset):
+            assert brute_force_flow(geom) is None
 
 
 class TestBruteForceOracle:
@@ -335,11 +482,8 @@ class TestBruteForceOracle:
     @given(geometries(max_vertices=5))
     @settings(max_examples=120, deadline=None)
     def test_oracle_agrees_with_pipeline(self, geom):
-        from flowscope.flow import _splice_orbits
-
         oracle = brute_force_flow(geom)
         res = find_causal_flow(geom)
-        assert res.status != "undecided"
         assert (oracle is not None) == (res.status == "found")
         if oracle is not None:
             assert verify_flow(geom, oracle).ok
@@ -349,6 +493,23 @@ class TestBruteForceOracle:
         if res.status == "found":
             assert verify_flow(geom, res.flow).ok
             res.cover.check(geom)
+        elif res.reason != "edge-bound":
+            assert verify_obstruction(geom, res.obstruction)
+
+    def test_seeded_differential_n7_to_10(self):
+        rng = random.Random(2007)
+        found = 0
+        for i in range(240):
+            geom = random_geometry(rng, 7 + i % 4)
+            oracle = brute_force_flow(geom)
+            res = find_causal_flow(geom)
+            assert (oracle is not None) == (res.status == "found"), geom
+            if res.status == "found":
+                found += 1
+                assert verify_flow(geom, res.flow).ok
+            elif res.reason != "edge-bound":
+                assert verify_obstruction(geom, res.obstruction)
+        assert 40 <= found <= 200  # the sample covers both verdicts
 
     @given(geometries(max_vertices=5))
     @settings(max_examples=60, deadline=None)

@@ -1,34 +1,41 @@
-"""Matching primitives: sizes, saturation, lexicographic enumeration."""
+"""Maximum matching, and the lexicographic enumeration the sweeps rely on."""
 
 from __future__ import annotations
 
 from itertools import permutations
 
-from flowscope.matching import iter_saturating_assignments, max_matching_size
+from flowscope.matching import max_matching
+
+from .conftest import saturating_assignments
 
 
 def test_max_matching_simple():
-    assert max_matching_size([[0, 1], [0]]) == 2
-    assert max_matching_size([[0], [0]]) == 1
-    assert max_matching_size([]) == 0
-    assert max_matching_size([[]]) == 0
+    assert max_matching([[0, 1], [0]]) == [1, 0]
+    assert max_matching([[0], [0]]) == [0, None]
+    assert max_matching([]) == []
+    assert max_matching([[]]) == [None]
 
 
-def test_max_matching_respects_used():
+def test_max_matching_uses_each_right_vertex_once():
     candidates = [[0, 1], [1]]
-    assert max_matching_size(candidates, start=1, used={1}) == 0
-    assert max_matching_size(candidates, start=1, used={0}) == 1
+    assert max_matching(candidates) == [0, 1]
+    assert max_matching([[5, 7], [5], [7, 9]]) == [7, 5, 9]
+
+
+def test_max_matching_ascending_tie_break():
+    # the six-cycle's two saturating matchings; the smaller one is returned
+    assert max_matching([[3, 5], [3, 4], [4, 5]]) == [3, 4, 5]
 
 
 def test_enumeration_complete_bipartite_is_all_permutations():
     candidates = [[0, 1, 2]] * 3
-    got = list(iter_saturating_assignments(candidates))
+    got = list(saturating_assignments(candidates))
     assert got == sorted(set(permutations(range(3))))
 
 
 def test_enumeration_lexicographic_order():
     candidates = [[0, 2], [0, 1], [1, 2]]
-    got = list(iter_saturating_assignments(candidates))
+    got = list(saturating_assignments(candidates))
     assert got == sorted(got)
     for assignment in got:
         assert len(set(assignment)) == len(assignment)
@@ -38,12 +45,12 @@ def test_enumeration_lexicographic_order():
 def test_enumeration_prunes_infeasible_branches():
     # position 0 may not take right vertex 0: that starves position 1
     candidates = [[0, 5], [0]]
-    assert list(iter_saturating_assignments(candidates)) == [(5, 0)]
+    assert list(saturating_assignments(candidates)) == [(5, 0)]
 
 
 def test_enumeration_unsaturable_yields_nothing():
-    assert list(iter_saturating_assignments([[0], [0]])) == []
+    assert list(saturating_assignments([[0], [0]])) == []
 
 
 def test_enumeration_empty_problem_yields_empty_assignment():
-    assert list(iter_saturating_assignments([])) == [()]
+    assert list(saturating_assignments([])) == [()]
