@@ -367,6 +367,14 @@ class TestFindCausalFlow:
         assert verify_flow(geom, res.flow).ok
         assert res.cover.paths == (tuple(range(12)),)
 
+    def test_budget_zero_still_decides_small_instances(self, six_cycle):
+        # The decision spends no search budget: even the smallest hard
+        # instance comes back decided, with a checkable obstruction.
+        res = find_causal_flow(six_cycle)
+        assert res.status == "no-flow"
+        assert res.obstruction == (0, 1, 2)
+        assert verify_obstruction(six_cycle, res.obstruction)
+
     @pytest.mark.parametrize(
         "base, squares",
         [(path_geometry(12), 5), (grid_geometry(3, 8), 5), (path_geometry(20), 6)],
