@@ -256,6 +256,19 @@ class TestSimulateAndOrder:
         assert code == 2
         assert "missing angle" in err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_angle_exits_2(self, capsys, tmp_path, path_file, value):
+        flow_file = tmp_path / "f.json"
+        run_cli(capsys, "find-flow", path_file, "--out", str(flow_file))
+        code, out, err = run_cli(
+            capsys, "simulate", path_file, str(flow_file), "--angles", f"v1={value},v2=0.0"
+        )
+        assert code == 2
+        assert verdict_line(out) == "VERDICT: error reason=input"
+        assert "not finite" in err
+        assert "Warning" not in err
+
     def test_order_subcommand(self, capsys, tmp_path, path_file):
         flow_file = tmp_path / "f.json"
         run_cli(capsys, "find-flow", path_file, "--out", str(flow_file))

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import math
+import random
+import tracemalloc
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -24,7 +27,9 @@ from flowscope import (
 )
 
 from .conftest import path_geometry
-from .test_flow import forced_six_cycle_flow
+from .dense_reference import dense_defect, dense_simulate
+from .test_acceptance import iter_partitions
+from .test_flow import forced_six_cycle_flow, random_geometry
 
 
 def proportional(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:
@@ -92,6 +97,13 @@ class TestSimulatePostselected:
         with pytest.raises(ValueError, match="measured"):
             MeasurementPattern(geom, flow, {0: 0.0})
 
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_rejected(self, theta):
+        geom = path_geometry(3)
+        flow = find_causal_flow(geom).flow
+        with pytest.raises(ValueError, match="not finite"):
+            MeasurementPattern(geom, flow, {0: theta, 1: 0.2})
+
     def test_schedule_must_cover_measured(self):
         geom = path_geometry(3)
         flow = find_causal_flow(geom).flow
@@ -156,6 +168,81 @@ class TestIsometryDefect:
     def test_shape_validation(self):
         with pytest.raises(ValueError, match="shape"):
             LinearMap(np.zeros((3, 2), dtype=complex), (0,), (1,))
+
+    def test_passthrough_must_be_input_and_output(self):
+        with pytest.raises(ValueError, match="pass-through"):
+            LinearMap(np.ones((1, 2), dtype=complex), (0,), (1,), (1,))
+
+    def test_passthrough_map_is_block_diagonal(self):
+        # output qubits (2, 5), input qubits (5, 7), qubit 5 passes through
+        amps = np.arange(1, 9, dtype=complex).reshape(2, 4)
+        v = LinearMap(amps, (2, 5), (5, 7), (5,))
+        expected = np.zeros((4, 4), dtype=complex)
+        for out2, in5, in7 in np.ndindex(2, 2, 2):
+            expected[2 * out2 + in5, 2 * in5 + in7] = amps[out2, 2 * in5 + in7]
+        assert np.array_equal(v.matrix, expected)
+        assert isometry_defect(v) == pytest.approx(dense_defect(expected), abs=1e-12)
+
+
+def assert_matches_dense_reference(geom, flow, rng, schedule=None) -> None:
+    pattern = MeasurementPattern(geom, flow, draw_angles(geom.measured, rng))
+    vmap = simulate_postselected(pattern, schedule=schedule)
+    matrix, outputs, inputs = dense_simulate(pattern, schedule)
+    assert (vmap.output_qubits, vmap.input_qubits) == (outputs, inputs)
+    assert vmap.matrix.shape == matrix.shape
+    assert np.max(np.abs(vmap.matrix - matrix)) < 1e-12
+    try:
+        expected = dense_defect(matrix)
+    except ZeroMapError:
+        with pytest.raises(ZeroMapError):
+            isometry_defect(vmap)
+    else:
+        assert isometry_defect(vmap) == pytest.approx(expected, abs=1e-12)
+
+
+class TestAgainstDenseReference:
+    def test_every_extremal_partition_up_to_8(self):
+        rng = np.random.default_rng(11)
+        for n in range(1, 9):
+            for parts in iter_partitions(n):
+                geom, _ = generate_extremal(ExtremalPartition(parts))
+                assert_matches_dense_reference(geom, find_causal_flow(geom).flow, rng)
+
+    def test_seeded_random_geometries_with_flow(self):
+        rng = random.Random(2025)
+        angle_rng = np.random.default_rng(12)
+        checked = 0
+        for i in range(300):
+            geom = random_geometry(rng, 2 + i % 7)
+            res = find_causal_flow(geom)
+            if res.status != "found":
+                continue
+            checked += 1
+            assert_matches_dense_reference(geom, res.flow, angle_rng)
+        assert checked >= 100
+
+    def test_forced_six_cycle_flow_under_every_schedule(self, six_cycle):
+        rng = np.random.default_rng(13)
+        for schedule in permutations([0, 1, 2]):
+            assert_matches_dense_reference(six_cycle, forced_six_cycle_flow(), rng, list(schedule))
+
+
+def test_all_ones_n12_stays_compact():
+    # Twelve pass-through inputs, so 4096 input columns: the dense map
+    # would be 4096 x 4096 complex (256 MB); the compact one holds 4096
+    # amplitudes.
+    geom, _ = generate_extremal(ExtremalPartition((1,) * 12))
+    pattern = MeasurementPattern(geom, find_causal_flow(geom).flow, {})
+    tracemalloc.start()
+    try:
+        vmap = simulate_postselected(pattern)
+        defect = isometry_defect(vmap)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert "matrix" not in vars(vmap)
+    assert defect < 1e-9
+    assert peak < 32 * 2**20
 
 
 def test_draw_angles_deterministic_given_seed():
