@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 
 from flowscope.flow import PathCover, build_influencing_digraph
 from flowscope.geometry import Geometry, Graph
@@ -98,8 +99,10 @@ def generate_extremal(partition: ExtremalPartition) -> tuple[Geometry, PathCover
       (ii)  v{i}_{a+1} -- v{j}_a      for 1 <= a < n_i,
       (iii) v{i}_{n_i} -- v{j}_a      for n_i <= a <= n_j.
 
-    Inputs are the path starts, outputs the path ends.  The families are
-    collected into a set, so any boundary overlap is deduplicated.
+    Inputs are the path starts, outputs the path ends, and v{i}_a has id
+    starts[i] + a - 1.  The families are disjoint, so paths i and j are
+    joined by exactly n_i + n_j - 1 edges (``count_connecting_edges``);
+    ``Graph.from_edges`` rejects any repeat.
     """
     parts = partition.parts
     k = partition.k
@@ -108,36 +111,25 @@ def generate_extremal(partition: ExtremalPartition) -> tuple[Geometry, PathCover
     for i in range(1, k):
         starts[i] = starts[i - 1] + parts[i - 1]
 
-    def vid(i: int, a: int) -> int:
-        # i is a 0-based path index, a a 1-based position on the path
-        return starts[i] + a - 1
-
-    edges: set[tuple[int, int]] = set()
-
-    def add(u: int, v: int) -> None:
-        edges.add((u, v) if u < v else (v, u))
-
-    for i, ni in enumerate(parts):
-        for a in range(1, ni):
-            add(vid(i, a), vid(i, a + 1))
+    edges: list[tuple[int, int]] = []
+    for si, ni in zip(starts, parts):
+        edges += zip(range(si, si + ni - 1), range(si + 1, si + ni))
     for i in range(k):
-        ni = parts[i]
+        si, ni = starts[i], parts[i]
+        last = si + ni - 1
         for j in range(i + 1, k):
-            nj = parts[j]
-            for a in range(1, ni):
-                add(vid(i, a), vid(j, a))
-                add(vid(i, a + 1), vid(j, a))
-            for a in range(ni, nj + 1):
-                add(vid(i, ni), vid(j, a))
+            sj, nj = starts[j], parts[j]
+            edges += zip(range(si, last), range(sj, sj + ni - 1))
+            edges += zip(range(si + 1, last + 1), range(sj, sj + ni - 1))
+            edges += zip(repeat(last), range(sj + ni - 1, sj + nj))
 
     labels = tuple(
         f"v{i + 1}_{a}" for i in range(k) for a in range(1, parts[i] + 1)
     )
-    graph = Graph.from_edges(n, sorted(edges))
     geom = Geometry(
-        graph,
-        frozenset(vid(i, 1) for i in range(k)),
-        frozenset(vid(i, parts[i]) for i in range(k)),
+        Graph.from_edges(n, edges),
+        frozenset(starts),
+        frozenset(si + ni - 1 for si, ni in zip(starts, parts)),
         labels,
     )
     cover = PathCover(
@@ -215,7 +207,7 @@ def lex_acyclicity_certificate(geom: Geometry, cover: PathCover) -> bool:
     """
     path_of, pos_of, lengths = _path_positions(cover)
     digraph = build_influencing_digraph(geom, cover.successor())
-    out_degree = [len(s) for s in digraph.digraph.successors]
+    out_degree = [len(s) for s in digraph.successors]
     for x, y in digraph.arcs:
         if (pos_of[x], path_of[x]) < (pos_of[y], path_of[y]):
             continue

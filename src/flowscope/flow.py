@@ -16,13 +16,14 @@ stalls, the vertices it never processed form a no-flow certificate that
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Literal, NamedTuple
 
-from flowscope.geometry import Digraph, Geometry, GeometryError
+from flowscope.geometry import Digraph, Geometry, GeometryError, json_block, load_json_object
 from flowscope.matching import max_matching
 
 DEFAULT_ORACLE_BOUND = 10
@@ -158,25 +159,6 @@ class PathCover:
 
 
 @dataclass(frozen=True)
-class InfluencingDigraph:
-    """Loop-free digraph whose acyclicity certifies a flow for one f.
-
-    There is an arc x -> y (x != y) exactly when y = f(x) or y is adjacent
-    to f(x).
-    """
-
-    digraph: Digraph
-
-    @property
-    def vertex_count(self) -> int:
-        return self.digraph.vertex_count
-
-    @property
-    def arcs(self) -> tuple[tuple[int, int], ...]:
-        return self.digraph.arcs
-
-
-@dataclass(frozen=True)
 class CausalFlow:
     """A successor function plus a vertex rank map witnessing the order.
 
@@ -186,9 +168,6 @@ class CausalFlow:
 
     successor: SuccessorFunction
     order_rank: tuple[int, ...]
-
-    def rank_of(self, v: int) -> int:
-        return self.order_rank[v]
 
     @property
     def depth(self) -> int:
@@ -275,25 +254,79 @@ def verify_flow(geom: Geometry, flow: CausalFlow) -> FlowCheck:
     return FlowCheck(True)
 
 
-def build_influencing_digraph(geom: Geometry, successor: SuccessorFunction) -> InfluencingDigraph:
-    """Arcs x -> f(x) and x -> y for every other neighbour y of f(x)."""
+def _influence_arcs(geom: Geometry, pairs: Iterable[tuple[int, int]]) -> Iterable[tuple[int, int]]:
     adj = geom.graph.adjacency
-    arcs: list[tuple[int, int]] = []
-    for x, fx in successor.pairs:
-        arcs.append((x, fx))
+    for x, fx in pairs:
+        yield (x, fx)
         for y in adj[fx]:
             if y != x:
-                arcs.append((x, y))
-    return InfluencingDigraph(Digraph(geom.vertex_count, tuple(arcs)))
+                yield (x, y)
 
 
-def acyclic_order(d: InfluencingDigraph | Digraph) -> AcyclicityResult:
+def build_influencing_digraph(geom: Geometry, successor: SuccessorFunction) -> Digraph:
+    """The influencing digraph of f, materialised.
+
+    There is an arc x -> y (x != y) exactly when y = f(x) or y is adjacent
+    to f(x); its acyclicity certifies a flow for f.  Ranking does not need
+    the arc list (see ``_influence_order``); the extremal certificates,
+    which classify every arc, do.
+    """
+    return Digraph(geom.vertex_count, tuple(_influence_arcs(geom, successor.pairs)))
+
+
+def _influence_order(geom: Geometry, pairs: list[tuple[int, int]]) -> AcyclicityResult:
+    """``acyclic_order`` of the influencing digraph of ``pairs``, read off the adjacency.
+
+    The successors of x are f(x) and the neighbours of f(x) other than x,
+    so no arc list is built.  Vertices are taken a whole layer at a time,
+    which makes the layer in which a vertex's in-degree reaches zero its
+    longest-path rank.  A processed x also decrements its own in-degree
+    when it meets itself among the neighbours of f(x); that count is then
+    negative and never reaches zero again.
+    """
+    n = geom.vertex_count
+    adj = geom.graph.adjacency
+    image: list[int | None] = [None] * n
+    indeg = [0] * n
+    for x, fx in pairs:
+        image[x] = fx
+        nbrs = adj[fx]
+        indeg[fx] += 1
+        for y in nbrs:
+            indeg[y] += 1
+        if x in nbrs:
+            indeg[x] -= 1
+    layer = [-1] * n
+    frontier = [v for v in range(n) if not indeg[v]]
+    depth = 0
+    while frontier:
+        upcoming = []
+        for u in frontier:
+            layer[u] = depth
+            fu = image[u]
+            if fu is None:
+                continue
+            indeg[fu] -= 1
+            if not indeg[fu]:
+                upcoming.append(fu)
+            for w in adj[fu]:
+                indeg[w] -= 1
+                if not indeg[w]:
+                    upcoming.append(w)
+        frontier = upcoming
+        depth += 1
+    if min(layer, default=0) >= 0:
+        return AcyclicityResult(tuple(layer), None)
+    popped = [rank >= 0 for rank in layer]
+    return AcyclicityResult(None, _extract_cycle(n, _influence_arcs(geom, pairs), popped))
+
+
+def acyclic_order(dg: Digraph) -> AcyclicityResult:
     """Topologically rank a digraph, or exhibit a directed cycle.
 
     Ranks are longest-path layers, so every arc increases rank by at least
     one and the assignment does not depend on traversal order.
     """
-    dg = d.digraph if isinstance(d, InfluencingDigraph) else d
     n = dg.vertex_count
     succ = dg.successors
     indeg = [0] * n
@@ -319,7 +352,7 @@ def acyclic_order(d: InfluencingDigraph | Digraph) -> AcyclicityResult:
     return AcyclicityResult(None, _extract_cycle(n, dg.arcs, popped))
 
 
-def _extract_cycle(n: int, arcs: tuple[tuple[int, int], ...], popped: list[bool]) -> tuple[int, ...]:
+def _extract_cycle(n: int, arcs: Iterable[tuple[int, int]], popped: list[bool]) -> tuple[int, ...]:
     # Every residual vertex keeps a residual predecessor, so walking
     # backwards must revisit a vertex within n steps.
     preds: dict[int, list[int]] = {}
@@ -340,50 +373,6 @@ def _extract_cycle(n: int, arcs: tuple[tuple[int, int], ...], popped: list[bool]
         seen[prev] = len(path)
         path.append(prev)
         cur = prev
-
-
-class NaturalPreorder:
-    """Reachability view of the influencing digraph for one function f.
-
-    ``precedes(x, y)`` holds when x == y or y is reachable from x.  The
-    relation is computed on demand and cached per source vertex; it is a
-    partial order exactly when the digraph is acyclic.
-    """
-
-    def __init__(self, geom: Geometry, successor: SuccessorFunction):
-        self._digraph = build_influencing_digraph(geom, successor)
-        self._succ = self._digraph.digraph.successors
-        self._reach: dict[int, frozenset[int]] = {}
-
-    @property
-    def digraph(self) -> InfluencingDigraph:
-        return self._digraph
-
-    def _reachable_from(self, x: int) -> frozenset[int]:
-        cached = self._reach.get(x)
-        if cached is not None:
-            return cached
-        seen: set[int] = set()
-        stack = [x]
-        while stack:
-            u = stack.pop()
-            for w in self._succ[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        result = frozenset(seen)
-        self._reach[x] = result
-        return result
-
-    def precedes(self, x: int, y: int) -> bool:
-        if not (0 <= x < self._digraph.vertex_count and 0 <= y < self._digraph.vertex_count):
-            raise GeometryError(f"unknown vertex in query ({x}, {y})")
-        return x == y or y in self._reachable_from(x)
-
-
-def natural_preorder(geom: Geometry, successor: SuccessorFunction) -> NaturalPreorder:
-    """Queryable transitive closure of the order conditions for f."""
-    return NaturalPreorder(geom, successor)
 
 
 def _candidate_table(geom: Geometry) -> tuple[list[int], list[list[int]]]:
@@ -513,9 +502,7 @@ def find_causal_flow(geom: Geometry) -> FlowSearchResult:
     matching = max_matching(candidates)
     if None in matching:
         return FlowSearchResult("no-flow", reason="no-cover", obstruction=obstruction)
-    _ranks, cycle = acyclic_order(
-        build_influencing_digraph(geom, SuccessorFunction.from_pairs(zip(measured, matching)))
-    )
+    _ranks, cycle = _influence_order(geom, list(zip(measured, matching)))
     if cycle is None:
         raise AssertionError("backward greedy stalled on a geometry that has a flow")
     return FlowSearchResult("no-flow", reason="cyclic-D", cycle=cycle, obstruction=obstruction)
@@ -546,7 +533,7 @@ def verify_obstruction(geom: Geometry, obstruction: Iterable[int]) -> bool:
 
 
 def flow_from_cover(geom: Geometry, cover: PathCover) -> FlowSearchResult:
-    """Run the gate, digraph construction, and topological sort for one cover.
+    """Run the gate and the topological sort of the influencing digraph for one cover.
 
     The cover is trusted (callers such as the extremal generator produce
     valid ones); only the flow conditions themselves are decided here.
@@ -560,7 +547,7 @@ def flow_from_cover(geom: Geometry, cover: PathCover) -> FlowSearchResult:
     if k >= 1 and geom.graph.edge_count > gamma(n, k):
         return FlowSearchResult("no-flow", reason="edge-bound")
     succ = SuccessorFunction.from_pairs(cover.successor_pairs())
-    ranks, cycle = acyclic_order(build_influencing_digraph(geom, succ))
+    ranks, cycle = _influence_order(geom, succ.pairs)
     if ranks is not None:
         return FlowSearchResult("found", flow=CausalFlow(succ, ranks), cover=cover)
     return FlowSearchResult("no-flow", reason="cyclic-D", cycle=cycle)
@@ -667,35 +654,52 @@ FLOW_FILE_KEYS = ("successor", "ranks", "paths")
 
 
 def dump_flow(geom: Geometry, flow: CausalFlow, cover: PathCover | None = None) -> str:
-    """Render a flow as byte-stable text keyed by vertex labels."""
+    """Render a flow as byte-stable text keyed by vertex labels.
+
+    ``successor`` and ``ranks`` list vertices in label order; ``paths``
+    follows the cover, by default the orbits of f.  The layout is
+    ``json.dumps(payload, indent=2)`` plus a final newline, with ASCII
+    escapes.
+    """
+    n = geom.vertex_count
+    mapping = flow.successor.mapping
     if cover is None:
-        paths = _splice_orbits(geom.vertex_count, flow.successor.mapping)
+        paths = _splice_orbits(n, mapping)
         if paths is None:
             raise ValueError("successor orbits contain a cycle; cannot lay out paths")
         cover = PathCover(paths)
-    lab = geom.label_of
-    payload = {
-        "successor": {lab(x): lab(y) for x, y in sorted(flow.successor.pairs, key=lambda p: lab(p[0]))},
-        "ranks": {lab(v): flow.order_rank[v] for v in sorted(range(geom.vertex_count), key=lab)},
-        "paths": [[lab(v) for v in path] for path in cover.paths],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    _require_vertices(geom, [*mapping, *mapping.values(), *chain.from_iterable(cover.paths)])
+    names = geom._names
+    esc = list(map(encode_basestring_ascii, names))
+    order = sorted(range(n), key=names.__getitem__)
+    ranks = flow.order_rank
+    fields = (
+        ("successor", json_block([f"{esc[x]}: {esc[mapping[x]]}" for x in order if x in mapping], 1, "{}")),
+        ("ranks", json_block([f"{esc[v]}: {ranks[v]}" for v in order], 1, "{}")),
+        ("paths", json_block([json_block([esc[v] for v in path], 2) for path in cover.paths], 1)),
+    )
+    return json_block([f'"{key}": {value}' for key, value in fields], 0, "{}") + "\n"
+
+
+def _require_vertices(geom: Geometry, ids: list[int]) -> None:
+    """Raise GeometryError unless every entry of ``ids`` is a vertex of ``geom``."""
+    try:
+        if not ids or (min(ids) >= 0 and max(ids) < geom.vertex_count):
+            return
+    except TypeError:
+        pass
+    for v in ids:
+        geom.label_of(v)
 
 
 def load_flow(geom: Geometry, text: str) -> tuple[CausalFlow, PathCover]:
-    """Parse a flow file against a geometry; semantic checks are left to verify_flow."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FlowFormatError(f"malformed flow file: {exc}") from exc
-    if not isinstance(data, dict):
-        raise FlowFormatError("flow file must contain a top-level object")
-    missing = [k for k in FLOW_FILE_KEYS if k not in data]
-    if missing:
-        raise FlowFormatError(f"missing key(s): {', '.join(missing)}")
-    unknown = [k for k in data if k not in FLOW_FILE_KEYS]
-    if unknown:
-        raise FlowFormatError(f"unknown key(s): {', '.join(unknown)}")
+    """Parse a flow file against a geometry; semantic checks are left to verify_flow.
+
+    Labels are resolved in bulk through the geometry's label index; they
+    are resolved one by one only to name the first that fails.
+    """
+    data = load_json_object(text, FLOW_FILE_KEYS, FlowFormatError, "flow")
+    index = geom._label_index
 
     def resolve(label: object, where: str) -> int:
         if not isinstance(label, str):
@@ -705,34 +709,49 @@ def load_flow(geom: Geometry, text: str) -> tuple[CausalFlow, PathCover]:
         except GeometryError as exc:
             raise FlowFormatError(f"{where}: {exc}") from None
 
-    if not isinstance(data["successor"], dict):
+    successor = data["successor"]
+    if not isinstance(successor, dict):
         raise FlowFormatError("'successor' must be an object")
-    pairs = [
-        (resolve(x, "successor"), resolve(y, "successor"))
-        for x, y in data["successor"].items()
-    ]
+    try:
+        pairs = [(index[x], index[y]) for x, y in successor.items()]
+    except (KeyError, TypeError):
+        pairs = [(resolve(x, "successor"), resolve(y, "successor")) for x, y in successor.items()]
 
-    if not isinstance(data["ranks"], dict):
+    raw_ranks = data["ranks"]
+    if not isinstance(raw_ranks, dict):
         raise FlowFormatError("'ranks' must be an object")
+    values = list(raw_ranks.values())
+    try:
+        ids = [index[label] for label in raw_ranks]
+    except KeyError:
+        ids = None
+    if ids is None or not set(map(type, values)) <= {int} or min(values, default=0) < 0:
+        for label, value in raw_ranks.items():
+            resolve(label, "ranks")
+            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+                raise FlowFormatError(f"ranks[{label!r}]: expected a non-negative integer")
     ranks = [0] * geom.vertex_count
-    seen_ranks: set[int] = set()
-    for label, value in data["ranks"].items():
-        v = resolve(label, "ranks")
-        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-            raise FlowFormatError(f"ranks[{label!r}]: expected a non-negative integer")
+    for v, value in zip(ids, values):
         ranks[v] = value
-        seen_ranks.add(v)
-    if len(seen_ranks) != geom.vertex_count:
-        missing_v = min(set(range(geom.vertex_count)) - seen_ranks)
+    if len(ids) != geom.vertex_count:
+        missing_v = min(set(range(geom.vertex_count)) - set(ids))
         raise FlowFormatError(f"missing rank for vertex {geom.label_of(missing_v)!r}")
 
-    if not isinstance(data["paths"], list):
+    raw_paths = data["paths"]
+    if not isinstance(raw_paths, list):
         raise FlowFormatError("'paths' must be a list")
-    paths = []
-    for pos, raw in enumerate(data["paths"]):
-        if not isinstance(raw, list):
-            raise FlowFormatError(f"paths[{pos}]: expected a list of labels")
-        paths.append(tuple(resolve(label, f"paths[{pos}]") for label in raw))
+    paths = None
+    if set(map(type, raw_paths)) <= {list}:
+        try:
+            paths = [tuple(map(index.__getitem__, raw)) for raw in raw_paths]
+        except (KeyError, TypeError):
+            pass
+    if paths is None:
+        paths = []
+        for pos, raw in enumerate(raw_paths):
+            if not isinstance(raw, list):
+                raise FlowFormatError(f"paths[{pos}]: expected a list of labels")
+            paths.append(tuple(resolve(label, f"paths[{pos}]") for label in raw))
 
     flow = CausalFlow(SuccessorFunction.from_pairs(pairs), tuple(ranks))
     return flow, PathCover(tuple(paths))

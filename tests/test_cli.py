@@ -159,6 +159,17 @@ class TestFindFlow:
         code, out, _ = run_cli(capsys, "find-flow", str(f), "--oracle")
         assert code == 0
 
+    def test_duplicate_geometry_key_exits_2(self, capsys, tmp_path):
+        f = tmp_path / "dup.json"
+        f.write_text(
+            '{"vertices": ["a", "b"], "edges": [["a", "b"]], "inputs": ["a"],'
+            ' "outputs": ["b"], "outputs": ["a"]}'
+        )
+        code, out, err = run_cli(capsys, "find-flow", str(f))
+        assert code == 2
+        assert verdict_line(out) == "VERDICT: error reason=input"
+        assert "duplicate key 'outputs'" in err
+
     def test_porcelain_only_verdict(self, capsys, six_cycle_file):
         code, out, _ = run_cli(capsys, "find-flow", six_cycle_file, "--porcelain")
         assert code == 1
@@ -182,6 +193,17 @@ class TestVerifyFlow:
         code, out, _ = run_cli(capsys, "verify-flow", path_file, str(flow_file))
         assert code == 1
         assert "condition=successor-order" in verdict_line(out)
+
+    def test_duplicate_rank_key_exits_2(self, capsys, tmp_path, path_file):
+        flow_file = tmp_path / "flow.json"
+        run_cli(capsys, "find-flow", path_file, "--out", str(flow_file))
+        # A second "v3" rank would silently replace the first under plain json.loads.
+        text = flow_file.read_text().replace('"v3": 2', '"v3": 2,\n    "v3": 0', 1)
+        flow_file.write_text(text)
+        code, out, err = run_cli(capsys, "verify-flow", path_file, str(flow_file))
+        assert code == 2
+        assert verdict_line(out) == "VERDICT: error reason=input"
+        assert "duplicate key 'v3'" in err
 
     def test_flow_for_wrong_geometry_exits_2(self, capsys, tmp_path, path_file, six_cycle_file):
         flow_file = tmp_path / "flow.json"

@@ -1,0 +1,212 @@
+"""Geometry and flow files: byte identity with the json.dumps reference, and the error contract."""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from flowscope import (
+    CausalFlow,
+    ExtremalPartition,
+    FlowFormatError,
+    Geometry,
+    GeometryError,
+    Graph,
+    PathCover,
+    SuccessorFunction,
+    dump_flow,
+    find_causal_flow,
+    flow_from_cover,
+    generate_extremal,
+    load_flow,
+    load_geometry,
+    serialize_geometry,
+)
+from flowscope.geometry import EdgeError
+
+from .conftest import geometries
+from .json_reference import reference_dump_flow, reference_serialize_geometry
+
+# Labels that exercise every escape json.dumps makes: quotes, backslashes,
+# control characters, non-ASCII (BMP and astral) and plain text.
+LABEL_CHARS = st.one_of(
+    st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "λ", "€", "\U0001f600", "/"]),
+    st.characters(),
+)
+LABELS = st.text(LABEL_CHARS, min_size=1, max_size=6)
+
+
+@st.composite
+def labelled_geometries(draw) -> Geometry:
+    geom = draw(geometries())
+    n = geom.vertex_count
+    labels = draw(st.one_of(st.none(), st.lists(LABELS, min_size=n, max_size=n, unique=True)))
+    return Geometry(geom.graph, geom.inputs, geom.outputs, labels)
+
+
+def relabelled(geom: Geometry, loaded: Geometry, ids: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(loaded.id_of(geom.label_of(v)) for v in ids)
+
+
+class TestByteIdentity:
+    @given(labelled_geometries())
+    @settings(max_examples=300, deadline=None)
+    def test_geometry_matches_reference(self, geom):
+        text = serialize_geometry(geom)
+        assert text == reference_serialize_geometry(geom)
+        loaded = load_geometry(text)
+        assert serialize_geometry(loaded) == text
+
+    @given(labelled_geometries(), st.lists(st.integers(0, 10**6), min_size=6, max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_flow_matches_reference(self, geom, spare_ranks):
+        res = find_causal_flow(geom)
+        if res.status != "found":
+            return
+        flows = [res.flow, CausalFlow(res.flow.successor, tuple(spare_ranks[: geom.vertex_count]))]
+        for flow in flows:
+            text = dump_flow(geom, flow, res.cover)
+            assert text == reference_dump_flow(geom, flow, res.cover)
+            assert dump_flow(geom, flow) == reference_dump_flow(geom, flow)
+            reread, cover = load_flow(geom, text)
+            assert reread == flow
+            assert dump_flow(geom, reread, cover) == text
+
+    def test_empty_geometry(self):
+        geom = Geometry(Graph.from_edges(0), frozenset(), frozenset())
+        assert serialize_geometry(geom) == reference_serialize_geometry(geom)
+        flow = find_causal_flow(geom).flow
+        assert dump_flow(geom, flow) == reference_dump_flow(geom, flow)
+
+    def test_extremal_k5_at_2000(self):
+        geom, cover = generate_extremal(ExtremalPartition((200, 300, 400, 500, 600)))
+        text = serialize_geometry(geom)
+        assert text == reference_serialize_geometry(geom)
+        loaded = load_geometry(text)
+        assert serialize_geometry(loaded) == text
+        paths = tuple(relabelled(geom, loaded, path) for path in cover.paths)
+        res = flow_from_cover(loaded, PathCover(paths))
+        assert res.status == "found"
+        flow_text = dump_flow(loaded, res.flow, res.cover)
+        assert flow_text == reference_dump_flow(loaded, res.flow, res.cover)
+        assert dump_flow(loaded, res.flow) == reference_dump_flow(loaded, res.flow)
+        reread, reread_cover = load_flow(loaded, flow_text)
+        assert reread == res.flow
+        assert reread_cover == res.cover
+
+    @pytest.mark.parametrize(
+        "pairs, paths",
+        [
+            ([(0, 3), (1, 4), (2, -1)], ((0, 3), (1, 4), (2, 5))),
+            ([(0, 3), (1, 4), (7, 5)], ((0, 3), (1, 4), (2, 5))),
+            ([(0, 3), (1, 4), (2, 5)], ((0, 3), (1, 4), (2, 6))),
+        ],
+    )
+    def test_unknown_vertex_in_flow_rejected(self, six_cycle, pairs, paths):
+        flow = CausalFlow(SuccessorFunction.from_pairs(pairs), (0,) * 6)
+        with pytest.raises(GeometryError, match="unknown vertex"):
+            dump_flow(six_cycle, flow, PathCover(paths))
+
+
+def geometry_text(vertices, edges, inputs=(), outputs=()):
+    return json.dumps(
+        {"vertices": vertices, "edges": edges, "inputs": list(inputs), "outputs": list(outputs)}
+    )
+
+
+class TestGeometryErrors:
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ([["a", "b"], ["b", "c"], ["a", "a"]], r"^edges\[2\]: self-loop at 'a'$"),
+            ([["a", "b"], ["b", "c"], ["c", "b"]], r"^edges\[2\]: duplicate edge 'c' -- 'b'$"),
+            ([["a", "b"], ["a", "b"], ["c", "c"]], r"^edges\[1\]: duplicate edge 'a' -- 'b'$"),
+            ([["a", "b"], ["c", "c"], ["a", "b"]], r"^edges\[1\]: self-loop at 'c'$"),
+            ([["a", "b"], ["b", "x"]], r"^edges\[1\]: unknown vertex label 'x'$"),
+            ([["a", "b"], ["b", 3]], r"^edges\[1\]: unknown vertex label 3$"),
+            ([["a", "b"], ["b", ["c"]]], r"^edges\[1\]: unknown vertex label \['c'\]$"),
+            ([["a", "b"], "bc"], r"^edges\[1\]: expected a 2-element list of labels$"),
+            ([["a", "b"], ["a", "b", "c"]], r"^edges\[1\]: expected a 2-element list of labels$"),
+        ],
+    )
+    def test_edge_errors_name_position_and_labels(self, edges, message):
+        with pytest.raises(GeometryError, match=message):
+            load_geometry(geometry_text(["a", "b", "c"], edges))
+
+    @pytest.mark.parametrize(
+        "vertices, inputs, outputs, message",
+        [
+            (["a", "b"], ["a", "b", "a"], [], r"^inputs\[2\]: duplicate label 'a'$"),
+            (["a", "b"], [], ["b", "b"], r"^outputs\[1\]: duplicate label 'b'$"),
+            (["a", "b"], ["a", "z"], [], r"^inputs\[1\]: unknown vertex label 'z'$"),
+            (["a", "b"], [], [None], r"^outputs\[0\]: unknown vertex label None$"),
+            (["a", "b", "a"], [], [], r"^vertices\[2\]: duplicate label 'a'$"),
+            (["a", ""], [], [], r"^vertices\[1\]: labels must be non-empty strings$"),
+            (["a", 7], [], [], r"^vertices\[1\]: labels must be non-empty strings$"),
+        ],
+    )
+    def test_label_errors_name_position(self, vertices, inputs, outputs, message):
+        with pytest.raises(GeometryError, match=message):
+            load_geometry(geometry_text(vertices, [], inputs, outputs))
+
+    @pytest.mark.parametrize(
+        "edges, message, position, fault",
+        [
+            ([(0, 1), (1, 1)], r"^self-loop at vertex 1$", 1, "self-loop"),
+            ([(0, 1), (2, 1), (1, 2)], r"^duplicate edge \(1, 2\)$", 2, "duplicate"),
+            ([(0, 1), (1, 0)], r"^duplicate edge \(0, 1\)$", 1, "duplicate"),
+            ([(0, 1), (1, 3)], r"^edge \(1, 3\) references an unknown vertex$", 1, "unknown-vertex"),
+            ([(0, 1), (-1, 2)], r"^edge \(-1, 2\) references an unknown vertex$", 1, "unknown-vertex"),
+            ([(0, 2), (-3, -1)], r"^edge \(-3, -1\) references an unknown vertex$", 1, "unknown-vertex"),
+            ([(2, 2), (2, 2)], r"^self-loop at vertex 2$", 0, "self-loop"),
+        ],
+    )
+    def test_from_edges_is_the_one_check(self, edges, message, position, fault):
+        with pytest.raises(EdgeError, match=message) as info:
+            Graph.from_edges(3, iter(edges))
+        assert (info.value.position, info.value.fault) == (position, fault)
+
+    def test_duplicate_keys_rejected(self):
+        text = '{"vertices": ["a"], "edges": [], "inputs": [], "outputs": [], "inputs": ["a"]}'
+        with pytest.raises(GeometryError, match="duplicate key 'inputs'"):
+            load_geometry(text)
+
+
+class TestFlowErrors:
+    @pytest.fixture
+    def path3(self):
+        return load_geometry(geometry_text(["a", "b", "c"], [["a", "b"], ["b", "c"]], ["a"], ["c"]))
+
+    @pytest.mark.parametrize(
+        "successor, ranks, label",
+        [
+            ('{"a": "b", "b": "c", "a": "c"}', '{"a": 0, "b": 1, "c": 2}', "a"),
+            ('{"a": "b", "b": "c"}', '{"a": 0, "b": 1, "c": 2, "b": 5}', "b"),
+        ],
+        ids=["successor", "ranks"],
+    )
+    def test_duplicate_keys_rejected(self, path3, successor, ranks, label):
+        text = f'{{"successor": {successor}, "ranks": {ranks}, "paths": [["a", "b", "c"]]}}'
+        with pytest.raises(FlowFormatError, match=f"^duplicate key '{label}'$"):
+            load_flow(path3, text)
+
+    @pytest.mark.parametrize(
+        "successor, ranks, paths, message",
+        [
+            ({"a": "x"}, {"a": 0, "b": 1, "c": 2}, [], r"^successor: unknown vertex label 'x'$"),
+            ({"a": 1}, {"a": 0, "b": 1, "c": 2}, [], r"^successor: expected a vertex label, got 1$"),
+            ({}, {"a": 0, "b": True, "c": 2}, [], r"^ranks\['b'\]: expected a non-negative integer$"),
+            ({}, {"a": 0, "b": -1, "c": 2}, [], r"^ranks\['b'\]: expected a non-negative integer$"),
+            ({}, {"a": 0, "q": 1, "c": 2}, [], r"^ranks: unknown vertex label 'q'$"),
+            ({}, {"a": 0, "c": 2}, [], r"^missing rank for vertex 'b'$"),
+            ({}, {"a": 0, "b": 1, "c": 2}, [["a"], "bc"], r"^paths\[1\]: expected a list of labels$"),
+            ({}, {"a": 0, "b": 1, "c": 2}, [["a"], ["b", "z"]], r"^paths\[1\]: unknown vertex label 'z'$"),
+        ],
+    )
+    def test_errors_name_the_item(self, path3, successor, ranks, paths, message):
+        text = json.dumps({"successor": successor, "ranks": ranks, "paths": paths})
+        with pytest.raises(FlowFormatError, match=message):
+            load_flow(path3, text)

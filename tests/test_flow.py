@@ -28,12 +28,12 @@ from flowscope import (
     gamma,
     generate_extremal,
     load_flow,
-    natural_preorder,
     verify_flow,
     verify_obstruction,
 )
-from flowscope.flow import _splice_orbits
+from flowscope.flow import _candidate_table, _splice_orbits
 from flowscope.geometry import Digraph
+from flowscope.matching import max_matching
 
 from .conftest import first_path_cover, geometries, path_geometry, saturating_assignments
 
@@ -227,46 +227,53 @@ class TestAcyclicOrder:
             assert ranks[u] < ranks[v]
 
 
-class TestNaturalPreorder:
-    def test_path_reachability(self):
-        geom = path_geometry(3)
-        pre = natural_preorder(geom, SuccessorFunction.from_pairs([(0, 1), (1, 2)]))
-        assert pre.precedes(0, 2)
-        assert not pre.precedes(2, 0)
+class TestImplicitInfluencingDigraph:
+    """Ranking reads the digraph off the adjacency; the materialised one is the reference."""
 
-    def test_reflexive(self, six_cycle):
-        pre = natural_preorder(six_cycle, SuccessorFunction.from_pairs([(0, 3), (1, 4), (2, 5)]))
-        for v in range(6):
-            assert pre.precedes(v, v)
+    def test_cyclic_cover_gives_reference_cycle(self, six_cycle):
+        cover = PathCover(((0, 3), (1, 4), (2, 5)))
+        res = flow_from_cover(six_cycle, cover)
+        reference = acyclic_order(build_influencing_digraph(six_cycle, cover.successor()))
+        assert (res.status, res.reason) == ("no-flow", "cyclic-D")
+        assert res.cycle == reference.cycle == (0, 1, 2)
 
-    def test_six_cycle_antisymmetry_fails(self, six_cycle):
-        pre = natural_preorder(six_cycle, SuccessorFunction.from_pairs([(0, 3), (1, 4), (2, 5)]))
-        assert pre.precedes(0, 2)
-        assert pre.precedes(2, 0)
-
-    @given(geometries(max_vertices=5))
-    @settings(max_examples=60)
-    def test_duality_with_digraph_reachability(self, geom):
+    @given(geometries(max_vertices=6))
+    @settings(max_examples=200, deadline=None)
+    def test_cover_ranks_and_cycles_match_reference(self, geom):
         cover = first_path_cover(geom)
-        if cover is None:
+        if cover is None or geom.vertex_count == 0:
             return
-        succ = cover.successor()
-        pre = natural_preorder(geom, succ)
-        arcs = build_influencing_digraph(geom, succ).arcs
-        out: dict[int, list[int]] = {}
-        for u, v in arcs:
-            out.setdefault(u, []).append(v)
-        for x in range(geom.vertex_count):
-            seen = set()
-            stack = [x]
-            while stack:
-                u = stack.pop()
-                for w in out.get(u, []):
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            for y in range(geom.vertex_count):
-                assert pre.precedes(x, y) == (x == y or y in seen)
+        res = flow_from_cover(geom, cover)
+        if res.reason == "edge-bound":
+            return
+        ranks, cycle = acyclic_order(build_influencing_digraph(geom, cover.successor()))
+        if ranks is not None:
+            assert res.flow.order_rank == ranks
+        else:
+            assert res.cycle == cycle
+
+    @pytest.mark.parametrize("parts", [(1, 1, 2), (3, 5, 8), (40, 60, 70, 90, 140)])
+    def test_extremal_and_grid_ranks_match_reference(self, parts):
+        geom, cover = generate_extremal(ExtremalPartition(parts))
+        grid = grid_geometry(len(parts), parts[-1])
+        grid_cover = PathCover(tuple(tuple(range(i * parts[-1], (i + 1) * parts[-1])) for i in range(len(parts))))
+        for g, c in ((geom, cover), (grid, grid_cover)):
+            reference = acyclic_order(build_influencing_digraph(g, c.successor()))
+            assert flow_from_cover(g, c).flow.order_rank == reference.ranks
+
+    def test_search_cycles_match_reference(self):
+        rng = random.Random(4)
+        checked = 0
+        for _ in range(300):
+            geom = random_geometry(rng, rng.randint(6, 30))
+            res = find_causal_flow(geom)
+            if res.reason != "cyclic-D":
+                continue
+            measured, candidates = _candidate_table(geom)
+            succ = SuccessorFunction.from_pairs(zip(measured, max_matching(candidates)))
+            assert res.cycle == acyclic_order(build_influencing_digraph(geom, succ)).cycle
+            checked += 1
+        assert checked >= 50
 
 
 class TestPathCover:
