@@ -4,7 +4,8 @@ Subcommands: check-bound, find-flow, verify-flow, gen-extremal, simulate,
 order.  Output is line oriented and ends with a machine-readable line of
 the form "VERDICT: <status> [key=value ...]".  Exit codes are a stable
 contract: 0 success / property holds, 1 no flow / property fails, 2 input
-error; 3 is reserved and never returned.
+error, 4 internal error (a bug, reported without a traceback); 3 is
+reserved and never returned.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ DEFECT_THRESHOLD = 1e-9
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
+EXIT_INTERNAL = 4
 
 
 class CliError(ValueError):
@@ -75,8 +77,8 @@ class Report:
 
 def _read_text(path: str) -> str:
     try:
-        return Path(path).read_text()
-    except OSError as exc:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
 
 
@@ -197,7 +199,10 @@ def cmd_verify_flow(args: argparse.Namespace) -> int:
 
 def cmd_gen_extremal(args: argparse.Namespace) -> int:
     report = Report(args.porcelain)
-    partition = ExtremalPartition.parse(args.partition)
+    try:
+        partition = ExtremalPartition.parse(args.partition)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
     geom, _cover = generate_extremal(partition)
     n = geom.vertex_count
     k = geom.output_count
@@ -262,6 +267,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.angles:
         draws = [_parse_angle_args(geom, args.angles)]
     elif args.random_angles:
+        if args.random_angles < 0:
+            raise CliError(f"--random-angles must be non-negative, got {args.random_angles}")
+        if args.seed < 0:
+            raise CliError(f"--seed must be non-negative, got {args.seed}")
         import numpy as np
 
         rng = np.random.default_rng(args.seed)
@@ -272,9 +281,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     worst = 0.0
     vmap = None
     for idx, angles in enumerate(draws):
-        vmap = simulate_postselected(
-            MeasurementPattern(geom, flow, angles), max_qubits=args.max_qubits
-        )
+        try:
+            pattern = MeasurementPattern(geom, flow, angles)
+        except ValueError as exc:
+            raise CliError(str(exc)) from None
+        vmap = simulate_postselected(pattern, max_qubits=args.max_qubits)
         try:
             defect = isometry_defect(vmap)
         except ZeroMapError:
@@ -372,12 +383,19 @@ def main(argv: list[str] | None = None) -> int:
         FlowDomainError,
         OracleBoundError,
         SimulationBoundError,
-        ValueError,
         OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         print("VERDICT: error reason=input")
         return EXIT_INPUT
+    except Exception as exc:
+        import logging  # only on this path, to keep start-up lean
+
+        # The traceback goes to the (by default silent) "flowscope" logger.
+        logging.getLogger("flowscope").debug("internal error", exc_info=True)
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        print("VERDICT: error reason=internal")
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ from enum import Enum
 from itertools import repeat
 
 from flowscope.flow import PathCover, build_influencing_digraph
-from flowscope.geometry import Geometry, Graph
+from flowscope.geometry import Geometry, Graph, _gc_paused
 
 
 def gamma(n: int, k: int) -> int:
@@ -88,6 +88,7 @@ class ArcKind(Enum):
     F = "f"
 
 
+@_gc_paused
 def generate_extremal(partition: ExtremalPartition) -> tuple[Geometry, PathCover]:
     """Build the saturating geometry for a partition, plus its path cover.
 

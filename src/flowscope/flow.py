@@ -23,7 +23,14 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Literal, NamedTuple
 
-from flowscope.geometry import Digraph, Geometry, GeometryError, json_block, load_json_object
+from flowscope.geometry import (
+    Digraph,
+    Geometry,
+    GeometryError,
+    _gc_paused,
+    json_block,
+    load_json_object,
+)
 from flowscope.matching import max_matching
 
 DEFAULT_ORACLE_BOUND = 10
@@ -51,10 +58,10 @@ class FlowFormatError(ValueError):
 class SuccessorFunction:
     """Partial map from measured vertices to their correction partners.
 
-    Stored as ascending (source, target) pairs.  ``from_mapping`` validates
-    the full contract (domain, codomain, injectivity, adjacency); the plain
-    constructor and ``from_pairs`` accept arbitrary candidates so that
-    verifiers can inspect broken ones.
+    Stored as ascending (source, target) pairs.  Construction accepts
+    arbitrary candidates so that verifiers can inspect broken ones;
+    ``verify_flow`` checks the full contract (domain, codomain, adjacency
+    and the order conditions that imply injectivity).
     """
 
     pairs: tuple[tuple[int, int], ...]
@@ -62,29 +69,6 @@ class SuccessorFunction:
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> SuccessorFunction:
         return cls(tuple(sorted(pairs)))
-
-    @classmethod
-    def from_mapping(cls, geom: Geometry, mapping: dict[int, int]) -> SuccessorFunction:
-        measured = set(geom.measured)
-        extra = sorted(set(mapping) - measured)
-        if extra:
-            raise FlowDomainError(f"f is defined on output vertex {extra[0]}")
-        missing = sorted(measured - set(mapping))
-        if missing:
-            raise FlowDomainError(f"f is undefined on measured vertex {missing[0]}")
-        targets: set[int] = set()
-        for x in sorted(mapping):
-            y = mapping[x]
-            if not (isinstance(y, int) and 0 <= y < geom.vertex_count):
-                raise FlowDomainError(f"f({x}) = {y!r} is not a vertex")
-            if y in geom.inputs:
-                raise FlowDomainError(f"f({x}) = {y} lies in the input set")
-            if y in targets:
-                raise ValueError(f"f is not injective: {y} has two preimages")
-            targets.add(y)
-            if y not in geom.graph.adjacency[x]:
-                raise ValueError(f"f({x}) = {y} is not adjacent to {x}")
-        return cls.from_pairs(mapping.items())
 
     @cached_property
     def mapping(self) -> dict[int, int]:
@@ -532,6 +516,7 @@ def verify_obstruction(geom: Geometry, obstruction: Iterable[int]) -> bool:
     return all(hits[w] != 1 for w in range(n) if not inside[w] and w not in geom.inputs)
 
 
+@_gc_paused
 def flow_from_cover(geom: Geometry, cover: PathCover) -> FlowSearchResult:
     """Run the gate and the topological sort of the influencing digraph for one cover.
 
@@ -692,6 +677,7 @@ def _require_vertices(geom: Geometry, ids: list[int]) -> None:
         geom.label_of(v)
 
 
+@_gc_paused
 def load_flow(geom: Geometry, text: str) -> tuple[CausalFlow, PathCover]:
     """Parse a flow file against a geometry; semantic checks are left to verify_flow.
 

@@ -141,8 +141,8 @@ def measurement_order(flow: CausalFlow) -> list[int]:
     Depends only on the flow; any topological order of the influencing
     digraph restricted to the measured vertices would do.
     """
-    ranks = flow.order_rank
-    return sorted(flow.successor.sources(), key=lambda v: (ranks[v], v))
+    # sources() ascend and sorting is stable, so equal ranks keep id order.
+    return sorted(flow.successor.sources(), key=flow.order_rank.__getitem__)
 
 
 def draw_angles(vertices: Sequence[int], rng: np.random.Generator) -> dict[int, float]:

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import json
+import logging
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from flowscope import cli
 from flowscope.cli import main
 
 from .conftest import SIX_CYCLE_TEXT
@@ -62,7 +65,7 @@ class TestCheckBound:
         assert verdict_line(out) == "VERDICT: property-holds reason=edge-bound"
 
     def test_one_extra_edge_rejected(self, capsys, tmp_path, extremal_file):
-        data = json.loads(open(extremal_file).read())
+        data = json.loads(Path(extremal_file).read_text())
         present = {tuple(sorted(e)) for e in data["edges"]}
         extra = next(
             [u, v]
@@ -235,6 +238,54 @@ class TestGenExtremal:
         code, _, err = run_cli(capsys, "gen-extremal", "--partition", "3,2")
         assert code == 2
         assert "non-decreasing" in err
+
+
+class TestInternalErrors:
+    """A bug inside a handler is exit 4, never an input error or a traceback."""
+
+    @pytest.mark.parametrize("exc", [ValueError("boom"), RuntimeError("boom")])
+    def test_handler_exception_exits_4(self, capsys, caplog, monkeypatch, path_file, exc):
+        def broken(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_check_bound", broken)
+        caplog.set_level(logging.DEBUG, logger="flowscope")
+        code, out, err = run_cli(capsys, "check-bound", path_file)
+        assert code == cli.EXIT_INTERNAL == 4
+        assert verdict_line(out) == "VERDICT: error reason=internal"
+        assert f"error: internal: {type(exc).__name__}: boom" in err
+        assert "Traceback" not in out + err
+        assert [r.exc_info[1] for r in caplog.records] == [exc]
+
+    def test_bad_partition_is_input_error(self, capsys):
+        code, out, err = run_cli(capsys, "gen-extremal", "--partition", "2,x")
+        assert code == 2
+        assert verdict_line(out) == "VERDICT: error reason=input"
+        assert "invalid partition" in err
+
+    @pytest.mark.parametrize("option, draws, seed", [("--seed", "1", "-1"), ("--random-angles", "-1", "0")])
+    def test_negative_simulate_option_is_input_error(self, capsys, tmp_path, path_file, option, draws, seed):
+        flow_file = tmp_path / "f.json"
+        run_cli(capsys, "find-flow", path_file, "--out", str(flow_file))
+        code, out, err = run_cli(
+            capsys, "simulate", path_file, str(flow_file), "--random-angles", draws, "--seed", seed
+        )
+        assert code == 2
+        assert verdict_line(out) == "VERDICT: error reason=input"
+        assert f"{option} must be non-negative" in err
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [(b"\xff\xfe{}", "cannot read"), (b"[" * 100_000 + b"]" * 100_000, "nested too deeply")],
+        ids=["undecodable", "deeply-nested"],
+    )
+    def test_unparseable_file_is_input_error(self, capsys, tmp_path, content, message):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        code, out, err = run_cli(capsys, "check-bound", str(bad))
+        assert code == 2
+        assert verdict_line(out) == "VERDICT: error reason=input"
+        assert message in err
 
 
 class TestSimulateAndOrder:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -117,6 +119,10 @@ def geometry_text(vertices, edges, inputs=(), outputs=()):
     )
 
 
+def path3_text() -> str:
+    return geometry_text(["a", "b", "c"], [["a", "b"], ["b", "c"]], ["a"], ["c"])
+
+
 class TestGeometryErrors:
     @pytest.mark.parametrize(
         "edges, message",
@@ -174,11 +180,16 @@ class TestGeometryErrors:
         with pytest.raises(GeometryError, match="duplicate key 'inputs'"):
             load_geometry(text)
 
+    def test_deep_nesting_rejected(self):
+        text = '{"vertices": ' + "[" * 100_000 + "]" * 100_000 + "}"
+        with pytest.raises(GeometryError, match="^malformed geometry file: nested too deeply$"):
+            load_geometry(text)
+
 
 class TestFlowErrors:
     @pytest.fixture
     def path3(self):
-        return load_geometry(geometry_text(["a", "b", "c"], [["a", "b"], ["b", "c"]], ["a"], ["c"]))
+        return load_geometry(path3_text())
 
     @pytest.mark.parametrize(
         "successor, ranks, label",
@@ -210,3 +221,121 @@ class TestFlowErrors:
         text = json.dumps({"successor": successor, "ranks": ranks, "paths": paths})
         with pytest.raises(FlowFormatError, match=message):
             load_flow(path3, text)
+
+    def test_deep_nesting_rejected(self, path3):
+        text = '{"paths": ' + "[" * 100_000 + "]" * 100_000 + "}"
+        with pytest.raises(FlowFormatError, match="^malformed flow file: nested too deeply$"):
+            load_flow(path3, text)
+
+
+def path3_flow_text(successor_target: str = "b") -> str:
+    successor = {"a": successor_target, "b": "c"}
+    return json.dumps({"successor": successor, "ranks": {"a": 0, "b": 1, "c": 2}, "paths": [["a", "b", "c"]]})
+
+
+# Every entry point that pauses the collector, on success and on each
+# error path it can take.
+PAUSING_CALLS = {
+    "from_edges": (lambda: Graph.from_edges(3, [(0, 1), (1, 2)]), None),
+    "from_edges-self-loop": (lambda: Graph.from_edges(3, [(0, 1), (1, 1)]), EdgeError),
+    "from_edges-duplicate": (lambda: Graph.from_edges(3, [(0, 1), (1, 0)]), EdgeError),
+    "load_geometry": (lambda: load_geometry(path3_text()), None),
+    "load_geometry-malformed": (lambda: load_geometry('{"vertices": ['), GeometryError),
+    "load_geometry-duplicate-key": (
+        lambda: load_geometry('{"vertices": [], "edges": [], "inputs": [], "outputs": [], "edges": []}'),
+        GeometryError,
+    ),
+    "load_geometry-self-loop": (lambda: load_geometry(geometry_text(["a", "b"], [["a", "a"]])), GeometryError),
+    "load_geometry-duplicate-edge": (
+        lambda: load_geometry(geometry_text(["a", "b"], [["a", "b"], ["b", "a"]])),
+        GeometryError,
+    ),
+    "load_flow": (lambda: load_flow(load_geometry(path3_text()), path3_flow_text()), None),
+    "load_flow-malformed": (lambda: load_flow(load_geometry(path3_text()), "{"), FlowFormatError),
+    "load_flow-bad-label": (lambda: load_flow(load_geometry(path3_text()), path3_flow_text("z")), FlowFormatError),
+    "generate_extremal": (lambda: generate_extremal(ExtremalPartition((2, 3))), None),
+    "flow_from_cover": (lambda: flow_from_cover(load_geometry(path3_text()), PathCover(((0, 1, 2),))), None),
+}
+
+
+@pytest.fixture
+def restore_gc():
+    was_enabled = gc.isenabled()
+    yield
+    if was_enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+class TestCollectorPause:
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    @pytest.mark.parametrize("name", sorted(PAUSING_CALLS))
+    def test_state_restored(self, restore_gc, name, enabled):
+        call, error = PAUSING_CALLS[name]
+        gc.enable() if enabled else gc.disable()
+        if error is None:
+            call()
+        else:
+            with pytest.raises(error):
+                call()
+        assert gc.isenabled() is enabled
+
+    def test_no_collection_inside_bulk_loads(self, restore_gc):
+        geom, cover = generate_extremal(ExtremalPartition((200, 300, 400, 500, 600)))
+        text = serialize_geometry(geom)
+        flow_text = dump_flow(geom, flow_from_cover(geom, cover).flow, cover)
+        watched = {"load_geometry", "load_flow"}
+        starts: list[tuple[int, str | None]] = []
+
+        def probe(phase: str, info: dict) -> None:
+            if phase != "start":
+                return
+            frame = sys._getframe(1)
+            while frame is not None:
+                name = frame.f_code.co_name
+                if name in watched and frame.f_globals.get("__name__", "").startswith("flowscope."):
+                    break
+                frame = frame.f_back
+            starts.append((info["generation"], None if frame is None else name))
+
+        def starts_during(call):
+            starts.clear()
+            gc.collect()
+            gc.callbacks.append(probe)
+            try:
+                return call()
+            finally:
+                gc.callbacks.remove(probe)
+
+        # A low first-generation threshold makes any unpaused bulk load
+        # start collections.
+        thresholds = gc.get_threshold()
+        gc.enable()
+        gc.set_threshold(100, *thresholds[1:])
+        try:
+            # None starts while a body runs; a call ends with at most one
+            # young-generation pass, the one its next allocation would start.
+            loaded = starts_during(lambda: load_geometry(text))
+            assert starts in ([], [(0, None)])
+            flow, _ = starts_during(lambda: load_flow(loaded, flow_text))
+            assert starts in ([], [(0, None)])
+        finally:
+            gc.set_threshold(*thresholds)
+        assert loaded.vertex_count == 2000
+        assert len(flow.successor) == 1995
+
+    def test_zero_threshold_starts_no_collection(self, restore_gc):
+        geom, _ = generate_extremal(ExtremalPartition((200, 300, 400, 500, 600)))
+        text = serialize_geometry(geom)
+        starts: list[int] = []
+        thresholds = gc.get_threshold()
+        gc.enable()
+        gc.set_threshold(0, *thresholds[1:])
+        gc.callbacks.append(lambda phase, info: starts.append(info["generation"]))
+        try:
+            load_geometry(text)
+        finally:
+            gc.callbacks.pop()
+            gc.set_threshold(*thresholds)
+        assert starts == []

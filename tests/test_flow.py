@@ -146,21 +146,35 @@ class TestVerifyFlow:
 
 
 class TestSuccessorFunction:
-    def test_from_mapping_validates(self):
+    """``from_pairs`` accepts any candidate; ``verify_flow`` checks the contract."""
+
+    def test_out_of_domain_raises(self):
         geom = path_geometry(3)
-        succ = SuccessorFunction.from_mapping(geom, {0: 1, 1: 2})
-        assert succ.pairs == ((0, 1), (1, 2))
+        flow = CausalFlow(SuccessorFunction.from_pairs([(0, 1), (1, 2)]), (0, 1, 2))
+        assert verify_flow(geom, flow).ok
+        for pairs, message in (
+            ([(0, 1), (1, 2), (2, 1)], "output vertex 2"),
+            ([(0, 1)], "undefined on measured vertex 1"),
+            ([(0, 1), (1, 3)], "not a vertex"),
+        ):
+            flow = CausalFlow(SuccessorFunction.from_pairs(pairs), (0, 1, 2))
+            with pytest.raises(FlowDomainError, match=message):
+                verify_flow(geom, flow)
 
     def test_rejects_non_injective(self):
         g = Graph.from_edges(3, [(0, 2), (1, 2)])
         geom = Geometry(g, frozenset(), frozenset({2}))
-        with pytest.raises(ValueError, match="injective"):
-            SuccessorFunction.from_mapping(geom, {0: 2, 1: 2})
+        flow = CausalFlow(SuccessorFunction.from_pairs([(0, 2), (1, 2)]), (0, 1, 2))
+        check = verify_flow(geom, flow)
+        assert check.condition == "neighborhood-order"
+        assert check.witness == (1, 0)
 
     def test_rejects_non_adjacent(self):
         geom = path_geometry(3)
-        with pytest.raises(ValueError, match="adjacent"):
-            SuccessorFunction.from_mapping(geom, {0: 2, 1: 2})
+        flow = CausalFlow(SuccessorFunction.from_pairs([(0, 2), (1, 2)]), (0, 1, 2))
+        check = verify_flow(geom, flow)
+        assert check.condition == "adjacency"
+        assert check.witness == (0, 2)
 
     @given(geometries(max_vertices=5))
     @settings(max_examples=60)
@@ -168,8 +182,11 @@ class TestSuccessorFunction:
         cover = first_path_cover(geom)
         if cover is None:
             return
-        succ = SuccessorFunction.from_mapping(geom, dict(cover.successor_pairs()))
-        targets = [y for _, y in succ.pairs]
+        result = flow_from_cover(geom, cover)
+        if result.status != "found":
+            return
+        assert verify_flow(geom, result.flow).ok
+        targets = [y for _, y in result.flow.successor.pairs]
         assert len(targets) == len(set(targets))
 
 

@@ -11,12 +11,14 @@ import numpy as np
 import pytest
 
 from flowscope import (
+    CausalFlow,
     ExtremalPartition,
     Geometry,
     Graph,
     LinearMap,
     MeasurementPattern,
     SimulationBoundError,
+    SuccessorFunction,
     ZeroMapError,
     draw_angles,
     find_causal_flow,
@@ -61,6 +63,23 @@ class TestMeasurementOrder:
     def test_depends_only_on_flow(self):
         res = find_causal_flow(path_geometry(4))
         assert measurement_order(res.flow) == measurement_order(res.flow)
+
+    def test_ties_break_by_vertex_id(self):
+        succ = SuccessorFunction.from_pairs([(2, 5), (0, 3), (1, 4)])
+        flow = CausalFlow(succ, (1, 0, 1, 2, 2, 2))
+        assert measurement_order(flow) == [1, 0, 2]
+
+    def test_matches_rank_then_id_key(self):
+        rng = random.Random(7011)
+        checked = 0
+        while checked < 300:
+            res = find_causal_flow(random_geometry(rng, rng.randint(2, 40)))
+            if res.status != "found":
+                continue
+            ranks = res.flow.order_rank
+            expected = sorted(res.flow.successor.sources(), key=lambda v: (ranks[v], v))
+            assert measurement_order(res.flow) == expected
+            checked += 1
 
 
 class TestSimulatePostselected:
