@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import repeat
+from itertools import chain, repeat
 
 from flowscope.flow import PathCover, build_influencing_digraph
 from flowscope.geometry import Geometry, Graph, _gc_paused
@@ -103,7 +103,7 @@ def generate_extremal(partition: ExtremalPartition) -> tuple[Geometry, PathCover
     Inputs are the path starts, outputs the path ends, and v{i}_a has id
     starts[i] + a - 1.  The families are disjoint, so paths i and j are
     joined by exactly n_i + n_j - 1 edges (``count_connecting_edges``);
-    ``Graph.from_edges`` rejects any repeat.
+    ``Graph._from_ends`` rejects any repeat.
     """
     parts = partition.parts
     k = partition.k
@@ -112,30 +112,31 @@ def generate_extremal(partition: ExtremalPartition) -> tuple[Geometry, PathCover
     for i in range(1, k):
         starts[i] = starts[i - 1] + parts[i - 1]
 
-    edges: list[tuple[int, int]] = []
+    # Edge ends u0, v0, u1, v1, ... straight from the range arithmetic, as
+    # slices of one id list so that the graph shares n int objects.
+    ids = list(range(n))
+    ends: list[int] = []
     for si, ni in zip(starts, parts):
-        edges += zip(range(si, si + ni - 1), range(si + 1, si + ni))
+        ends += chain.from_iterable(zip(ids[si : si + ni - 1], ids[si + 1 : si + ni]))
     for i in range(k):
         si, ni = starts[i], parts[i]
         last = si + ni - 1
         for j in range(i + 1, k):
             sj, nj = starts[j], parts[j]
-            edges += zip(range(si, last), range(sj, sj + ni - 1))
-            edges += zip(range(si + 1, last + 1), range(sj, sj + ni - 1))
-            edges += zip(repeat(last), range(sj + ni - 1, sj + nj))
+            ends += chain.from_iterable(zip(ids[si:last], ids[sj : sj + ni - 1]))
+            ends += chain.from_iterable(zip(ids[si + 1 : last + 1], ids[sj : sj + ni - 1]))
+            ends += chain.from_iterable(zip(repeat(ids[last]), ids[sj + ni - 1 : sj + nj]))
 
     labels = tuple(
         f"v{i + 1}_{a}" for i in range(k) for a in range(1, parts[i] + 1)
     )
     geom = Geometry(
-        Graph.from_edges(n, edges),
+        Graph._from_ends(n, ends),
         frozenset(starts),
         frozenset(si + ni - 1 for si, ni in zip(starts, parts)),
         labels,
     )
-    cover = PathCover(
-        tuple(tuple(range(starts[i], starts[i] + parts[i])) for i in range(k))
-    )
+    cover = PathCover(tuple(tuple(ids[si : si + ni]) for si, ni in zip(starts, parts)))
     return geom, cover
 
 

