@@ -8,7 +8,6 @@ choice of measurement angles.
 """
 
 from flowscope.geometry import (
-    Digraph,
     Geometry,
     GeometryError,
     Graph,
@@ -16,7 +15,6 @@ from flowscope.geometry import (
     serialize_geometry,
 )
 from flowscope.flow import (
-    AcyclicityResult,
     CausalFlow,
     FlowCheck,
     FlowDomainError,
@@ -24,11 +22,8 @@ from flowscope.flow import (
     FlowSearchResult,
     OracleBoundError,
     PathCover,
-    PathCoverError,
     SuccessorFunction,
-    acyclic_order,
     brute_force_flow,
-    build_influencing_digraph,
     dump_flow,
     find_causal_flow,
     flow_from_cover,
@@ -61,10 +56,8 @@ from flowscope.simulate import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AcyclicityResult",
     "ArcKind",
     "CausalFlow",
-    "Digraph",
     "ExtremalPartition",
     "FlowCheck",
     "FlowDomainError",
@@ -77,13 +70,10 @@ __all__ = [
     "MeasurementPattern",
     "OracleBoundError",
     "PathCover",
-    "PathCoverError",
     "SimulationBoundError",
     "SuccessorFunction",
     "ZeroMapError",
-    "acyclic_order",
     "brute_force_flow",
-    "build_influencing_digraph",
     "classify_arcs",
     "count_connecting_edges",
     "draw_angles",

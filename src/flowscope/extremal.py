@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, repeat
 
-from flowscope.flow import PathCover, build_influencing_digraph
+from flowscope.flow import PathCover, _influence_arcs
 from flowscope.geometry import Geometry, Graph, _gc_paused
 
 
@@ -167,9 +167,8 @@ def classify_arcs(geom: Geometry, cover: PathCover) -> dict[tuple[int, int], Arc
     not produced by the generator and is reported as an error.
     """
     path_of, pos_of, lengths = _path_positions(cover)
-    digraph = build_influencing_digraph(geom, cover.successor())
     tags: dict[tuple[int, int], ArcKind] = {}
-    for arc in digraph.arcs:
+    for arc in _influence_arcs(geom, cover.successor_pairs()):
         x, y = arc
         p, a = path_of[x], pos_of[x]
         q, b = path_of[y], pos_of[y]
@@ -205,15 +204,16 @@ def lex_acyclicity_certificate(geom: Geometry, cover: PathCover) -> bool:
 
     Every arc must go strictly upward in the (position, path index)
     lexicographic order, except arcs into a path's final vertex, which are
-    harmless because final vertices have no outgoing arcs.
+    harmless because final vertices have no outgoing arcs.  A vertex has
+    outgoing arcs exactly when it is a source of f, since x -> f(x) is one.
     """
     path_of, pos_of, lengths = _path_positions(cover)
-    digraph = build_influencing_digraph(geom, cover.successor())
-    out_degree = [len(s) for s in digraph.successors]
-    for x, y in digraph.arcs:
+    pairs = cover.successor_pairs()
+    sources = {x for x, _ in pairs}
+    for x, y in _influence_arcs(geom, pairs):
         if (pos_of[x], path_of[x]) < (pos_of[y], path_of[y]):
             continue
-        if pos_of[y] == lengths[path_of[y]] and out_degree[y] == 0:
+        if pos_of[y] == lengths[path_of[y]] and y not in sources:
             continue
         return False
     return True

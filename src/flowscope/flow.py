@@ -1,4 +1,4 @@
-"""Causal flow search, verification, and the influencing digraph.
+"""Causal flow search and verification.
 
 A causal flow pairs every measured vertex x with an adjacent partner f(x)
 outside the input set, so that some vertex order puts x strictly before
@@ -16,15 +16,13 @@ stalls, the vertices it never processed form a no-flow certificate that
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Literal, NamedTuple
+from typing import Iterable, Literal
 
 from flowscope.geometry import (
-    Digraph,
     Geometry,
     GeometryError,
     _gc_paused,
@@ -44,10 +42,6 @@ class FlowDomainError(ValueError):
 
 class OracleBoundError(ValueError):
     """An instance exceeds the exhaustive oracle's size cap."""
-
-
-class PathCoverError(ValueError):
-    """A claimed path cover violates one of its defining properties."""
 
 
 class FlowFormatError(ValueError):
@@ -77,15 +71,6 @@ class SuccessorFunction:
     def sources(self) -> tuple[int, ...]:
         return tuple(x for x, _ in self.pairs)
 
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def __contains__(self, x: int) -> bool:
-        return x in self.mapping
-
-    def __call__(self, x: int) -> int:
-        return self.mapping[x]
-
 
 @dataclass(frozen=True)
 class PathCover:
@@ -97,46 +82,8 @@ class PathCover:
 
     paths: tuple[tuple[int, ...], ...]
 
-    @classmethod
-    def validated(cls, geom: Geometry, paths: Iterable[Iterable[int]]) -> PathCover:
-        cover = cls(tuple(tuple(p) for p in paths))
-        cover.check(geom)
-        return cover
-
-    def check(self, geom: Geometry) -> None:
-        if len(self.paths) != geom.output_count:
-            raise PathCoverError(
-                f"cover has {len(self.paths)} paths but the geometry has "
-                f"{geom.output_count} outputs"
-            )
-        seen: set[int] = set()
-        for path in self.paths:
-            if not path:
-                raise PathCoverError("empty path in cover")
-            for u, v in zip(path, path[1:]):
-                if not geom.graph.has_edge(u, v):
-                    raise PathCoverError(f"consecutive vertices {u}, {v} are not adjacent")
-            for pos, v in enumerate(path):
-                if v in seen:
-                    raise PathCoverError(f"vertex {v} appears in two paths")
-                seen.add(v)
-                if v in geom.outputs and pos != len(path) - 1:
-                    raise PathCoverError(f"output vertex {v} is not a final point")
-                if v in geom.inputs and pos != 0:
-                    raise PathCoverError(f"input vertex {v} is not an initial point")
-            if path[-1] not in geom.outputs:
-                raise PathCoverError(f"path ending at {path[-1]} does not end in an output")
-        if len(seen) != geom.vertex_count:
-            raise PathCoverError("cover does not visit every vertex")
-
     def successor_pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple((u, v) for path in self.paths for u, v in zip(path, path[1:]))
-
-    def successor(self) -> SuccessorFunction:
-        return SuccessorFunction.from_pairs(self.successor_pairs())
-
-    def initial_points(self) -> tuple[int, ...]:
-        return tuple(path[0] for path in self.paths)
 
     def lengths(self) -> tuple[int, ...]:
         return tuple(len(path) for path in self.paths)
@@ -168,13 +115,6 @@ class FlowCheck:
 
     def __bool__(self) -> bool:
         return self.ok
-
-
-class AcyclicityResult(NamedTuple):
-    """Topological ranks if acyclic, otherwise one directed cycle."""
-
-    ranks: tuple[int, ...] | None
-    cycle: tuple[int, ...] | None
 
 
 @dataclass(frozen=True)
@@ -239,6 +179,11 @@ def verify_flow(geom: Geometry, flow: CausalFlow) -> FlowCheck:
 
 
 def _influence_arcs(geom: Geometry, pairs: Iterable[tuple[int, int]]) -> Iterable[tuple[int, int]]:
+    """Arcs of the influencing digraph of f, given as its (x, f(x)) pairs.
+
+    There is an arc x -> y (x != y) exactly when y = f(x) or y is adjacent
+    to f(x); its acyclicity certifies a flow for f.
+    """
     adj = geom.graph.adjacency
     for x, fx in pairs:
         yield (x, fx)
@@ -247,26 +192,18 @@ def _influence_arcs(geom: Geometry, pairs: Iterable[tuple[int, int]]) -> Iterabl
                 yield (x, y)
 
 
-def build_influencing_digraph(geom: Geometry, successor: SuccessorFunction) -> Digraph:
-    """The influencing digraph of f, materialised.
-
-    There is an arc x -> y (x != y) exactly when y = f(x) or y is adjacent
-    to f(x); its acyclicity certifies a flow for f.  Ranking does not need
-    the arc list (see ``_influence_order``); the extremal certificates,
-    which classify every arc, do.
-    """
-    return Digraph(geom.vertex_count, tuple(_influence_arcs(geom, successor.pairs)))
-
-
-def _influence_order(geom: Geometry, pairs: list[tuple[int, int]]) -> AcyclicityResult:
-    """``acyclic_order`` of the influencing digraph of ``pairs``, read off the adjacency.
+def _influence_order(
+    geom: Geometry, pairs: list[tuple[int, int]]
+) -> tuple[tuple[int, ...] | None, tuple[int, ...] | None]:
+    """Ranks of the influencing digraph of ``pairs`` as ``(ranks, None)``, or ``(None, cycle)``.
 
     The successors of x are f(x) and the neighbours of f(x) other than x,
     so no arc list is built.  Vertices are taken a whole layer at a time,
     which makes the layer in which a vertex's in-degree reaches zero its
-    longest-path rank.  A processed x also decrements its own in-degree
-    when it meets itself among the neighbours of f(x); that count is then
-    negative and never reaches zero again.
+    longest-path rank; every arc thus raises the rank by at least one.  A
+    processed x also decrements its own in-degree when it meets itself
+    among the neighbours of f(x); that count is then negative and never
+    reaches zero again.
     """
     n = geom.vertex_count
     adj = geom.graph.adjacency
@@ -300,45 +237,17 @@ def _influence_order(geom: Geometry, pairs: list[tuple[int, int]]) -> Acyclicity
         frontier = upcoming
         depth += 1
     if min(layer, default=0) >= 0:
-        return AcyclicityResult(tuple(layer), None)
+        return tuple(layer), None
     popped = [rank >= 0 for rank in layer]
-    return AcyclicityResult(None, _extract_cycle(n, _influence_arcs(geom, pairs), popped))
-
-
-def acyclic_order(dg: Digraph) -> AcyclicityResult:
-    """Topologically rank a digraph, or exhibit a directed cycle.
-
-    Ranks are longest-path layers, so every arc increases rank by at least
-    one and the assignment does not depend on traversal order.
-    """
-    n = dg.vertex_count
-    succ = dg.successors
-    indeg = [0] * n
-    for _, v in dg.arcs:
-        indeg[v] += 1
-    layer = [0] * n
-    queue: deque[int] = deque(v for v in range(n) if indeg[v] == 0)
-    popped = [False] * n
-    processed = 0
-    while queue:
-        u = queue.popleft()
-        popped[u] = True
-        processed += 1
-        bump = layer[u] + 1
-        for w in succ[u]:
-            if layer[w] < bump:
-                layer[w] = bump
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(w)
-    if processed == n:
-        return AcyclicityResult(tuple(layer), None)
-    return AcyclicityResult(None, _extract_cycle(n, dg.arcs, popped))
+    return None, _extract_cycle(n, _influence_arcs(geom, pairs), popped)
 
 
 def _extract_cycle(n: int, arcs: Iterable[tuple[int, int]], popped: list[bool]) -> tuple[int, ...]:
-    # Every residual vertex keeps a residual predecessor, so walking
-    # backwards must revisit a vertex within n steps.
+    """The cycle met walking back from the smallest unpopped vertex, rotated to its smallest.
+
+    Each step goes to the smallest unpopped predecessor.  Every unpopped
+    vertex keeps one, so the walk revisits a vertex within n steps.
+    """
     preds: dict[int, list[int]] = {}
     for u, v in arcs:
         if not popped[u] and not popped[v]:
@@ -679,10 +588,11 @@ def _require_vertices(geom: Geometry, ids: list[int]) -> None:
 
 @_gc_paused
 def load_flow(geom: Geometry, text: str) -> tuple[CausalFlow, PathCover]:
-    """Parse a flow file against a geometry; semantic checks are left to verify_flow.
+    """Parse a flow file against a geometry; the flow conditions are left to verify_flow.
 
     Labels are resolved in bulk through the geometry's label index; they
-    are resolved one by one only to name the first that fails.
+    are resolved one by one only to name the first that fails.  ``paths``
+    must be the orbits of f, in any order (see ``_check_orbits``).
     """
     data = load_json_object(text, FLOW_FILE_KEYS, FlowFormatError, "flow")
     index = geom._label_index
@@ -740,4 +650,33 @@ def load_flow(geom: Geometry, text: str) -> tuple[CausalFlow, PathCover]:
             paths.append(tuple(resolve(label, f"paths[{pos}]") for label in raw))
 
     flow = CausalFlow(SuccessorFunction.from_pairs(pairs), tuple(ranks))
+    _check_orbits(geom, flow.successor.mapping, paths)
     return flow, PathCover(tuple(paths))
+
+
+def _check_orbits(geom: Geometry, mapping: dict[int, int], paths: list[tuple[int, ...]]) -> None:
+    """Raise FlowFormatError unless ``paths`` are the orbits of f, in any order.
+
+    The paths must partition the vertices, f must map each vertex of a
+    path to the next one, and each path must end outside f's domain.  The
+    first path that breaks a rule is named; a vertex on no path is named
+    once every path has passed.
+    """
+    names = geom._names
+    on_path = [False] * geom.vertex_count
+    for pos, path in enumerate(paths):
+        where = f"paths[{pos}]"
+        if not path:
+            raise FlowFormatError(f"{where}: empty path")
+        for v in path:
+            if on_path[v]:
+                raise FlowFormatError(f"{where}: vertex {names[v]!r} appears twice")
+            on_path[v] = True
+        for u, v in zip(path, path[1:]):
+            if mapping.get(u) != v:
+                raise FlowFormatError(f"{where}: f({names[u]!r}) is not {names[v]!r}")
+        last = path[-1]
+        if last in mapping:
+            raise FlowFormatError(f"{where}: ends at {names[last]!r}, where f is defined")
+    if not all(on_path):
+        raise FlowFormatError(f"paths: vertex {names[on_path.index(False)]!r} is on no path")

@@ -1,4 +1,4 @@
-"""Immutable graphs, geometries, and digraphs, plus the geometry file format.
+"""Immutable graphs and geometries, plus the geometry file format.
 
 Vertices are dense integers 0..n-1 everywhere inside the package.  String
 labels exist only at the ingestion and serialization boundary; they are
@@ -132,16 +132,6 @@ class Graph:
             _raise_first_bad_edge(n, ends)
         return cls(n, tuple(map(tuple, adj)), m)
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        """Ascending neighbours of ``v``; never contains ``v`` itself."""
-        self._check_vertex(v)
-        return self.adjacency[v]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        self._check_vertex(u)
-        self._check_vertex(v)
-        return v in self.adjacency[u]
-
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges as (u, v) with u < v, in ascending order."""
         for u, nbrs in enumerate(self.adjacency):
@@ -235,28 +225,6 @@ class Geometry:
             return self._label_index[label]
         except KeyError:
             raise GeometryError(f"unknown vertex label {label!r}") from None
-
-
-@dataclass(frozen=True)
-class Digraph:
-    """Directed graph over dense vertex ids; loops and parallel arcs allowed."""
-
-    vertex_count: int
-    arcs: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        n = self.vertex_count
-        for u, v in self.arcs:
-            if not (0 <= u < n and 0 <= v < n):
-                raise GeometryError(f"arc ({u}, {v}) references an unknown vertex")
-
-    @cached_property
-    def successors(self) -> tuple[tuple[int, ...], ...]:
-        """Out-neighbour lists, each ascending (parallel arcs preserved)."""
-        out: list[list[int]] = [[] for _ in range(self.vertex_count)]
-        for u, v in self.arcs:
-            out[u].append(v)
-        return tuple(tuple(sorted(vs)) for vs in out)
 
 
 class _DuplicateKey(Exception):

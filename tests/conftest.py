@@ -81,3 +81,36 @@ def first_path_cover(geom: Geometry) -> PathCover | None:
         if paths is not None:
             return PathCover(paths)
     return None
+
+
+def check_cover(geom: Geometry, cover: PathCover) -> None:
+    """Raise ValueError unless ``cover`` is a path cover of ``geom``.
+
+    A cover has one path per output, its paths are vertex-disjoint walks
+    along edges that together visit every vertex, each path ends in an
+    output, and outputs appear only as final points and inputs only as
+    initial points.
+    """
+    if len(cover.paths) != geom.output_count:
+        raise ValueError(
+            f"cover has {len(cover.paths)} paths but the geometry has {geom.output_count} outputs"
+        )
+    seen: set[int] = set()
+    for path in cover.paths:
+        if not path:
+            raise ValueError("empty path in cover")
+        for u, v in zip(path, path[1:]):
+            if v not in geom.graph.adjacency[u]:
+                raise ValueError(f"consecutive vertices {u}, {v} are not adjacent")
+        for pos, v in enumerate(path):
+            if v in seen:
+                raise ValueError(f"vertex {v} appears in two paths")
+            seen.add(v)
+            if v in geom.outputs and pos != len(path) - 1:
+                raise ValueError(f"output vertex {v} is not a final point")
+            if v in geom.inputs and pos != 0:
+                raise ValueError(f"input vertex {v} is not an initial point")
+        if path[-1] not in geom.outputs:
+            raise ValueError(f"path ending at {path[-1]} does not end in an output")
+    if len(seen) != geom.vertex_count:
+        raise ValueError("cover does not visit every vertex")

@@ -18,9 +18,7 @@ from flowscope import (
     Geometry,
     Graph,
     MeasurementPattern,
-    acyclic_order,
     brute_force_flow,
-    build_influencing_digraph,
     draw_angles,
     find_causal_flow,
     flow_from_cover,
@@ -35,6 +33,7 @@ from flowscope import (
 )
 
 from .conftest import SIX_CYCLE_TEXT, first_path_cover
+from .digraph_reference import influence_order
 
 ANGLE_DRAWS = 20
 # Interleaved timing rounds of criterion 7.
@@ -97,7 +96,7 @@ def small_geometry_sweep():
                 variants = {frozenset(), outputs}
                 cover = first_path_cover(Geometry(graph, frozenset(), outputs))
                 if cover is not None:
-                    variants.add(frozenset(cover.initial_points()))
+                    variants.add(frozenset(p[0] for p in cover.paths))
                 for inputs in sorted(variants, key=sorted):
                     geom = Geometry(graph, inputs, outputs)
                     rows.append((geom, brute_force_flow(geom), find_causal_flow(geom)))
@@ -123,7 +122,7 @@ def test_criterion_2_saturation_sweep(saturation_sweep):
             failures.append((parts, "edge count"))
         if not lex_acyclicity_certificate(geom, cover):
             failures.append((parts, "lex certificate"))
-        ranks, _ = acyclic_order(build_influencing_digraph(geom, cover.successor()))
+        ranks, _ = influence_order(geom, cover.successor_pairs())
         if ranks is None:
             failures.append((parts, "acyclic_order"))
         if search.status != "found" or not verify_flow(geom, search.flow).ok:

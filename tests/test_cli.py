@@ -208,6 +208,18 @@ class TestVerifyFlow:
         assert verdict_line(out) == "VERDICT: error reason=input"
         assert "duplicate key 'v3'" in err
 
+    @pytest.mark.parametrize("command", ["verify-flow", "simulate", "order"])
+    def test_paths_not_the_orbits_exit_2(self, capsys, tmp_path, path_file, command):
+        flow_file = tmp_path / "flow.json"
+        run_cli(capsys, "find-flow", path_file, "--out", str(flow_file))
+        data = json.loads(flow_file.read_text())
+        data["paths"] = [["v1"], ["v2", "v3"]]
+        flow_file.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, command, path_file, str(flow_file))
+        assert code == 2
+        assert verdict_line(out) == "VERDICT: error reason=input"
+        assert "paths[0]: ends at 'v1', where f is defined" in err
+
     def test_flow_for_wrong_geometry_exits_2(self, capsys, tmp_path, path_file, six_cycle_file):
         flow_file = tmp_path / "flow.json"
         run_cli(capsys, "find-flow", path_file, "--out", str(flow_file))

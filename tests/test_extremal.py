@@ -10,9 +10,7 @@ from flowscope import (
     Geometry,
     Graph,
     PathCover,
-    acyclic_order,
     brute_force_flow,
-    build_influencing_digraph,
     classify_arcs,
     count_connecting_edges,
     find_causal_flow,
@@ -23,6 +21,9 @@ from flowscope import (
     observation_checks,
     verify_flow,
 )
+
+from .conftest import check_cover
+from .digraph_reference import influence_arcs, influence_order
 
 
 def iter_partitions(n, smallest=1):
@@ -93,7 +94,7 @@ class TestGenerateExtremal:
         geom, cover = generate_extremal(ExtremalPartition((6, 8, 9)))
         assert geom.vertex_count == 23
         assert geom.graph.edge_count == 63
-        cover.check(geom)
+        check_cover(geom, cover)
 
     def test_reference_instance_has_flow_at_the_gate_boundary(self):
         geom, _ = generate_extremal(ExtremalPartition((6, 8, 9)))
@@ -182,8 +183,7 @@ class TestClassifyArcs:
         for parts in iter_partitions(n):
             geom, cover = generate_extremal(ExtremalPartition(parts))
             tags = classify_arcs(geom, cover)
-            digraph = build_influencing_digraph(geom, cover.successor())
-            assert set(tags) == set(digraph.arcs)
+            assert set(tags) == set(influence_arcs(geom, cover.successor_pairs()))
             path_of = {}
             for idx, path in enumerate(cover.paths):
                 for v in path:
@@ -200,6 +200,17 @@ class TestClassifyArcs:
             assert x not in terminals
 
 
+def reference_lex_verdict(geom: Geometry, cover: PathCover) -> bool:
+    """The lex certificate's rule on the reference arcs, with out-degrees counted from them."""
+    spot = {v: (pos, idx) for idx, path in enumerate(cover.paths) for pos, v in enumerate(path)}
+    arcs = influence_arcs(geom, cover.successor_pairs())
+    tails = {x for x, _ in arcs}
+    return all(
+        spot[x] < spot[y] or (spot[y][0] == len(cover.paths[spot[y][1]]) - 1 and y not in tails)
+        for x, y in arcs
+    )
+
+
 class TestLexCertificate:
     def test_reference_instance(self):
         geom, cover = generate_extremal(ExtremalPartition((6, 8, 9)))
@@ -214,7 +225,8 @@ class TestLexCertificate:
         for parts in iter_partitions(n):
             geom, cover = generate_extremal(ExtremalPartition(parts))
             assert lex_acyclicity_certificate(geom, cover), parts
-            ranks, _ = acyclic_order(build_influencing_digraph(geom, cover.successor()))
+            assert reference_lex_verdict(geom, cover), parts
+            ranks, _ = influence_order(geom, cover.successor_pairs())
             assert ranks is not None, parts
 
     def test_fails_on_chorded_path(self):
@@ -222,6 +234,7 @@ class TestLexCertificate:
         geom = Geometry(g, frozenset({0}), frozenset({2}))
         cover = PathCover(((0, 1, 2),))
         assert not lex_acyclicity_certificate(geom, cover)
+        assert not reference_lex_verdict(geom, cover)
 
 
 class TestObservationChecks:

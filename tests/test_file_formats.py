@@ -28,6 +28,7 @@ from flowscope import (
     load_geometry,
     serialize_geometry,
 )
+from flowscope.flow import _splice_orbits
 from flowscope.geometry import EdgeError
 
 from .conftest import geometries
@@ -99,6 +100,26 @@ class TestByteIdentity:
         reread, reread_cover = load_flow(loaded, flow_text)
         assert reread == res.flow
         assert reread_cover == res.cover
+
+    def test_relabelled_grid_cover_round_trips_in_row_order(self):
+        # Loading numbers vertices in label order, where r10c0 comes before
+        # r2c0, so the rows of the cover are not the orbits of f by start.
+        rows, cols = 12, 4
+        edges = [(i * cols + j, i * cols + j + 1) for i in range(rows) for j in range(cols - 1)]
+        edges += [(i * cols + j, (i + 1) * cols + j) for i in range(rows - 1) for j in range(cols)]
+        geom = Geometry(
+            Graph.from_edges(rows * cols, edges),
+            frozenset(i * cols for i in range(rows)),
+            frozenset(i * cols + cols - 1 for i in range(rows)),
+            tuple(f"r{i}c{j}" for i in range(rows) for j in range(cols)),
+        )
+        loaded = load_geometry(serialize_geometry(geom))
+        cover = PathCover(tuple(tuple(loaded.id_of(f"r{i}c{j}") for j in range(cols)) for i in range(rows)))
+        res = flow_from_cover(loaded, cover)
+        assert cover.paths != _splice_orbits(rows * cols, res.flow.successor.mapping)
+        reread, reread_cover = load_flow(loaded, dump_flow(loaded, res.flow, cover))
+        assert reread == res.flow
+        assert reread_cover == cover
 
     @pytest.mark.parametrize(
         "pairs, paths",
@@ -262,6 +283,22 @@ class TestFlowErrors:
         with pytest.raises(FlowFormatError, match=message):
             load_flow(path3, text)
 
+    @pytest.mark.parametrize(
+        "paths, message",
+        [
+            ([["c", "a"]], r"^paths\[0\]: f\('c'\) is not 'a'$"),
+            ([["a"], ["b", "c"]], r"^paths\[0\]: ends at 'a', where f is defined$"),
+            ([], r"^paths: vertex 'a' is on no path$"),
+            ([["a", "b", "c"], ["a", "b", "c"]], r"^paths\[1\]: vertex 'a' appears twice$"),
+            ([["a", "b", "c"], []], r"^paths\[1\]: empty path$"),
+        ],
+        ids=["out-of-order", "split-orbit", "no-paths", "repeated-path", "empty-path"],
+    )
+    def test_paths_must_be_the_orbits(self, path3, paths, message):
+        text = json.dumps({**json.loads(path3_flow_text()), "paths": paths})
+        with pytest.raises(FlowFormatError, match=message):
+            load_flow(path3, text)
+
     def test_deep_nesting_rejected(self, path3):
         text = '{"paths": ' + "[" * 100_000 + "]" * 100_000 + "}"
         with pytest.raises(FlowFormatError, match="^malformed flow file: nested too deeply$"):
@@ -363,7 +400,7 @@ class TestCollectorPause:
         finally:
             gc.set_threshold(*thresholds)
         assert loaded.vertex_count == 2000
-        assert len(flow.successor) == 1995
+        assert len(flow.successor.pairs) == 1995
 
     def test_zero_threshold_starts_no_collection(self, restore_gc):
         geom, _ = generate_extremal(ExtremalPartition((200, 300, 400, 500, 600)))

@@ -13,15 +13,13 @@ from flowscope import (
     CausalFlow,
     ExtremalPartition,
     FlowDomainError,
+    FlowFormatError,
     Geometry,
     Graph,
     OracleBoundError,
     PathCover,
-    PathCoverError,
     SuccessorFunction,
-    acyclic_order,
     brute_force_flow,
-    build_influencing_digraph,
     dump_flow,
     find_causal_flow,
     flow_from_cover,
@@ -31,11 +29,11 @@ from flowscope import (
     verify_flow,
     verify_obstruction,
 )
-from flowscope.flow import _candidate_table, _splice_orbits
-from flowscope.geometry import Digraph
+from flowscope.flow import _candidate_table, _influence_arcs, _influence_order, _splice_orbits
 from flowscope.matching import max_matching
 
-from .conftest import first_path_cover, geometries, path_geometry, saturating_assignments
+from .conftest import check_cover, first_path_cover, geometries, path_geometry, saturating_assignments
+from .digraph_reference import acyclic_order, influence_arcs, influence_order
 
 
 # 4-cycle with no inputs and two adjacent outputs: it has a flow and four
@@ -88,8 +86,7 @@ def exhaustive_min_depth(geom: Geometry) -> int | None:
     candidates = [[y for y in geom.graph.adjacency[x] if y in allowed] for x in geom.measured]
     best = None
     for assignment in saturating_assignments(candidates):
-        succ = SuccessorFunction.from_pairs(zip(geom.measured, assignment))
-        ranks, _ = acyclic_order(build_influencing_digraph(geom, succ))
+        ranks, _ = influence_order(geom, zip(geom.measured, assignment))
         if ranks is not None:
             depth = max(ranks, default=0)
             best = depth if best is None else min(best, depth)
@@ -191,55 +188,58 @@ class TestSuccessorFunction:
 
 
 class TestInfluencingDigraph:
+    """The package's arc generator against the reference arc list."""
+
+    @staticmethod
+    def arc_lists(geom, pairs):
+        return list(_influence_arcs(geom, pairs)), influence_arcs(geom, pairs)
+
     def test_path_digraph(self):
-        geom = path_geometry(3)
-        succ = SuccessorFunction.from_pairs([(0, 1), (1, 2)])
-        d = build_influencing_digraph(geom, succ)
-        assert set(d.arcs) == {(0, 1), (0, 2), (1, 2)}
+        for arcs in self.arc_lists(path_geometry(3), [(0, 1), (1, 2)]):
+            assert set(arcs) == {(0, 1), (0, 2), (1, 2)}
 
     def test_six_cycle_contains_three_cycle(self, six_cycle):
-        succ = SuccessorFunction.from_pairs([(0, 3), (1, 4), (2, 5)])
-        arcs = set(build_influencing_digraph(six_cycle, succ).arcs)
-        assert {(0, 1), (1, 2), (2, 0)} <= arcs
+        for arcs in self.arc_lists(six_cycle, [(0, 3), (1, 4), (2, 5)]):
+            assert {(0, 1), (1, 2), (2, 0)} <= set(arcs)
 
     def test_empty_measured_set(self):
         g = Graph.from_edges(2, [(0, 1)])
         geom = Geometry(g, frozenset({0, 1}), frozenset({0, 1}))
-        d = build_influencing_digraph(geom, SuccessorFunction(()))
-        assert d.arcs == ()
+        assert self.arc_lists(geom, []) == ([], [])
 
     def test_no_loops_no_duplicates(self, six_cycle):
-        succ = SuccessorFunction.from_pairs([(0, 3), (1, 4), (2, 5)])
-        arcs = build_influencing_digraph(six_cycle, succ).arcs
-        assert len(arcs) == len(set(arcs))
-        assert all(x != y for x, y in arcs)
+        for arcs in self.arc_lists(six_cycle, [(0, 3), (1, 4), (2, 5)]):
+            assert len(arcs) == len(set(arcs))
+            assert all(x != y for x, y in arcs)
 
 
 class TestAcyclicOrder:
+    """The reference ranking itself, on hand-made digraphs."""
+
     def test_three_arc_dag(self):
-        ranks, cycle = acyclic_order(Digraph(3, ((0, 1), (0, 2), (1, 2))))
+        ranks, cycle = acyclic_order(3, ((0, 1), (0, 2), (1, 2)))
         assert cycle is None
         assert ranks == (0, 1, 2)
 
     def test_three_cycle_certificate(self):
-        ranks, cycle = acyclic_order(Digraph(3, ((0, 1), (1, 2), (2, 0))))
+        ranks, cycle = acyclic_order(3, ((0, 1), (1, 2), (2, 0)))
         assert ranks is None
         assert cycle == (0, 1, 2)
 
     def test_no_arcs(self):
-        ranks, cycle = acyclic_order(Digraph(4, ()))
+        ranks, cycle = acyclic_order(4, ())
         assert ranks == (0, 0, 0, 0)
         assert cycle is None
 
     def test_cycle_with_tail(self):
         # 3 -> 0 -> 1 -> 2 -> 0; the tail vertex is popped, cycle remains
-        ranks, cycle = acyclic_order(Digraph(4, ((3, 0), (0, 1), (1, 2), (2, 0))))
+        ranks, cycle = acyclic_order(4, ((3, 0), (0, 1), (1, 2), (2, 0)))
         assert ranks is None
         assert cycle == (0, 1, 2)
 
     def test_ranks_respect_all_arcs(self):
         arcs = ((0, 3), (3, 1), (0, 1), (2, 3))
-        ranks, _ = acyclic_order(Digraph(4, arcs))
+        ranks, _ = acyclic_order(4, arcs)
         for u, v in arcs:
             assert ranks[u] < ranks[v]
 
@@ -250,9 +250,9 @@ class TestImplicitInfluencingDigraph:
     def test_cyclic_cover_gives_reference_cycle(self, six_cycle):
         cover = PathCover(((0, 3), (1, 4), (2, 5)))
         res = flow_from_cover(six_cycle, cover)
-        reference = acyclic_order(build_influencing_digraph(six_cycle, cover.successor()))
+        _, reference_cycle = influence_order(six_cycle, cover.successor_pairs())
         assert (res.status, res.reason) == ("no-flow", "cyclic-D")
-        assert res.cycle == reference.cycle == (0, 1, 2)
+        assert res.cycle == reference_cycle == (0, 1, 2)
 
     @given(geometries(max_vertices=6))
     @settings(max_examples=200, deadline=None)
@@ -263,7 +263,7 @@ class TestImplicitInfluencingDigraph:
         res = flow_from_cover(geom, cover)
         if res.reason == "edge-bound":
             return
-        ranks, cycle = acyclic_order(build_influencing_digraph(geom, cover.successor()))
+        ranks, cycle = influence_order(geom, cover.successor_pairs())
         if ranks is not None:
             assert res.flow.order_rank == ranks
         else:
@@ -275,8 +275,8 @@ class TestImplicitInfluencingDigraph:
         grid = grid_geometry(len(parts), parts[-1])
         grid_cover = PathCover(tuple(tuple(range(i * parts[-1], (i + 1) * parts[-1])) for i in range(len(parts))))
         for g, c in ((geom, cover), (grid, grid_cover)):
-            reference = acyclic_order(build_influencing_digraph(g, c.successor()))
-            assert flow_from_cover(g, c).flow.order_rank == reference.ranks
+            reference_ranks, _ = influence_order(g, c.successor_pairs())
+            assert flow_from_cover(g, c).flow.order_rank == reference_ranks
 
     def test_search_cycles_match_reference(self):
         rng = random.Random(4)
@@ -287,10 +287,38 @@ class TestImplicitInfluencingDigraph:
             if res.reason != "cyclic-D":
                 continue
             measured, candidates = _candidate_table(geom)
-            succ = SuccessorFunction.from_pairs(zip(measured, max_matching(candidates)))
-            assert res.cycle == acyclic_order(build_influencing_digraph(geom, succ)).cycle
+            _, reference_cycle = influence_order(geom, zip(measured, max_matching(candidates)))
+            assert res.cycle == reference_cycle
             checked += 1
         assert checked >= 50
+
+    def test_work_is_exactly_linear_on_extremal_k5(self):
+        # Every neighbour-list scan or membership test adds the list's length.
+        # Each of the n - 5 pairs (x, f(x)) costs three passes over adj[f(x)]:
+        # two while counting in-degrees and one when x is ranked.  f maps onto
+        # the non-inputs, whose degrees sum to 2m less the 35 of the five path
+        # starts, so the total is 6m - 105 at every size.
+        reads = 0
+
+        class CountingNeighbours(tuple):
+            def __iter__(self):
+                nonlocal reads
+                reads += len(self)
+                return super().__iter__()
+
+            def __contains__(self, v):
+                nonlocal reads
+                reads += len(self)
+                return super().__contains__(v)
+
+        for n in (10_000, 20_000, 40_000):
+            geom, cover = generate_extremal(ExtremalPartition((n // 5,) * 5))
+            g = geom.graph
+            counting = Graph(g.vertex_count, tuple(map(CountingNeighbours, g.adjacency)), g.edge_count)
+            reads = 0
+            ranks, _ = _influence_order(Geometry(counting, geom.inputs, geom.outputs), cover.successor_pairs())
+            assert ranks == flow_from_cover(geom, cover).flow.order_rank
+            assert reads == 6 * g.edge_count - 105, n
 
 
 class TestPathCover:
@@ -309,7 +337,7 @@ class TestPathCover:
         # a cover exists although no flow does
         cover = first_path_cover(six_cycle)
         assert cover is not None
-        cover.check(six_cycle)
+        check_cover(six_cycle, cover)
         assert cover.paths == ((0, 3), (1, 4), (2, 5))
         assert find_causal_flow(six_cycle).cover is None
 
@@ -329,17 +357,29 @@ class TestPathCover:
         assert find_causal_flow(geom).cover is None
 
     def test_validation_rejects_bad_covers(self, six_cycle):
-        with pytest.raises(PathCoverError, match="adjacent"):
-            PathCover.validated(six_cycle, [(0, 1, 3), (2, 4), (5,)])
-        with pytest.raises(PathCoverError, match=r"paths but"):
-            PathCover.validated(six_cycle, [(0, 3)])
+        bad = [
+            (((0, 1, 3), (2, 4), (5,)), "adjacent", r"^paths\[0\]: f\('a0'\) is not 'a1'$"),
+            (((0, 3),), r"paths but", r"^paths: vertex 'a1' is on no path$"),
+        ]
+        # Written into a flow file beside f(a_i) = b_i, neither lists the orbits of f.
+        flow = CausalFlow(SuccessorFunction.from_pairs([(0, 3), (1, 4), (2, 5)]), (0,) * 6)
+        for paths, cover_message, file_message in bad:
+            with pytest.raises(ValueError, match=cover_message):
+                check_cover(six_cycle, PathCover(paths))
+            with pytest.raises(FlowFormatError, match=file_message):
+                load_flow(six_cycle, dump_flow(six_cycle, flow, PathCover(paths)))
 
     def test_validation_checks_endpoint_membership(self):
-        geom = path_geometry(3)
-        with pytest.raises(PathCoverError, match="initial"):
-            PathCover.validated(
-                Geometry(geom.graph, frozenset({1}), frozenset({2})), [(0, 1, 2)]
-            )
+        geom = Geometry(path_geometry(3).graph, frozenset({1}), frozenset({2}))
+        cover = PathCover(((0, 1, 2),))
+        with pytest.raises(ValueError, match="initial"):
+            check_cover(geom, cover)
+        # In a flow file the path is the orbit of f, so it loads; the input
+        # in its middle is f(0), which verify_flow rejects.
+        flow = CausalFlow(SuccessorFunction.from_pairs([(0, 1), (1, 2)]), (0, 1, 2))
+        loaded, _ = load_flow(geom, dump_flow(geom, flow, cover))
+        with pytest.raises(FlowDomainError, match="input set"):
+            verify_flow(geom, loaded)
 
 
 class TestFindCausalFlow:
@@ -361,7 +401,7 @@ class TestFindCausalFlow:
         res = find_causal_flow(path_geometry(4))
         assert res.status == "found"
         assert verify_flow(path_geometry(4), res.flow).ok
-        res.cover.check(path_geometry(4))
+        check_cover(path_geometry(4), res.cover)
 
     def test_no_cover_reason(self):
         # output-less vertex whose only neighbour is an input
@@ -521,10 +561,10 @@ class TestBruteForceOracle:
             assert verify_flow(geom, oracle).ok
             # orbits of any produced flow must lay out as a valid cover
             paths = _splice_orbits(geom.vertex_count, oracle.successor.mapping)
-            PathCover.validated(geom, paths)
+            check_cover(geom, PathCover(paths))
         if res.status == "found":
             assert verify_flow(geom, res.flow).ok
-            res.cover.check(geom)
+            check_cover(geom, res.cover)
         elif res.reason != "edge-bound":
             assert verify_obstruction(geom, res.obstruction)
 
@@ -589,4 +629,4 @@ def test_found_flows_reconstruct_as_covers(geom):
     mapping = res.flow.successor.mapping
     # orbits of f are exactly the cover paths
     assert dict(res.cover.successor_pairs()) == mapping
-    res.cover.check(geom)
+    check_cover(geom, res.cover)

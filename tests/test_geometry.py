@@ -80,23 +80,23 @@ class TestLoadGeometry:
 class TestGraph:
     def test_neighbors_on_path(self):
         g = Graph.from_edges(3, [(0, 1), (1, 2)])
-        assert g.neighbors(1) == (0, 2)
+        assert g.adjacency[1] == (0, 2)
 
     def test_neighbors_isolated(self):
         g = Graph.from_edges(1)
-        assert g.neighbors(0) == ()
+        assert g.adjacency[0] == ()
 
     def test_neighbors_six_cycle(self, six_cycle):
         b0 = six_cycle.id_of("b0")
-        assert set(six_cycle.graph.neighbors(b0)) == {
+        assert set(six_cycle.graph.adjacency[b0]) == {
             six_cycle.id_of("a0"),
             six_cycle.id_of("a1"),
         }
 
     def test_unknown_vertex(self):
-        g = Graph.from_edges(2, [(0, 1)])
+        geom = Geometry(Graph.from_edges(2, [(0, 1)]), frozenset(), frozenset())
         with pytest.raises(GeometryError, match="unknown vertex"):
-            g.neighbors(5)
+            geom.label_of(5)
 
     def test_bad_edge_endpoint(self):
         with pytest.raises(GeometryError, match="unknown vertex"):
@@ -157,9 +157,10 @@ class TestSerialization:
     @given(geometries())
     def test_adjacency_invariants(self, geom):
         g = geom.graph
-        pair_count = sum(len(g.neighbors(v)) for v in range(g.vertex_count))
+        pair_count = sum(map(len, g.adjacency))
         assert pair_count == 2 * g.edge_count
-        for v in range(g.vertex_count):
-            assert v not in g.neighbors(v)
-            for u in g.neighbors(v):
-                assert v in g.neighbors(u)
+        for v, nbrs in enumerate(g.adjacency):
+            assert v not in nbrs
+            assert list(nbrs) == sorted(set(nbrs))
+            for u in nbrs:
+                assert v in g.adjacency[u]

@@ -1,0 +1,58 @@
+"""The names the package exports, and the test-only ones it no longer does."""
+
+from __future__ import annotations
+
+import importlib
+
+import flowscope
+
+PUBLIC_NAMES = [
+    "ArcKind",
+    "CausalFlow",
+    "ExtremalPartition",
+    "FlowCheck",
+    "FlowDomainError",
+    "FlowFormatError",
+    "FlowSearchResult",
+    "Geometry",
+    "GeometryError",
+    "Graph",
+    "LinearMap",
+    "MeasurementPattern",
+    "OracleBoundError",
+    "PathCover",
+    "SimulationBoundError",
+    "SuccessorFunction",
+    "ZeroMapError",
+    "brute_force_flow",
+    "classify_arcs",
+    "count_connecting_edges",
+    "draw_angles",
+    "dump_flow",
+    "find_causal_flow",
+    "flow_from_cover",
+    "gamma",
+    "generate_extremal",
+    "isometry_defect",
+    "lambda_labels",
+    "lex_acyclicity_certificate",
+    "load_flow",
+    "load_geometry",
+    "measurement_order",
+    "observation_checks",
+    "serialize_geometry",
+    "simulate_postselected",
+    "verify_flow",
+    "verify_obstruction",
+]
+
+# The materialised digraph and its helpers live in tests/digraph_reference.py.
+REMOVED_NAMES = ["AcyclicityResult", "Digraph", "PathCoverError", "acyclic_order", "build_influencing_digraph"]
+
+
+def test_public_surface():
+    assert flowscope.__all__ == PUBLIC_NAMES
+    assert [name for name in PUBLIC_NAMES if not hasattr(flowscope, name)] == []
+    for module_name in ("flowscope", "flowscope.flow", "flowscope.geometry"):
+        module = importlib.import_module(module_name)
+        assert [name for name in REMOVED_NAMES if hasattr(module, name)] == [], module_name
