@@ -20,8 +20,10 @@ from flowscope.extremal import ExtremalPartition, gamma, generate_extremal
 from flowscope.flow import (
     DEFAULT_ORACLE_BOUND,
     CausalFlow,
+    FlowCheck,
     FlowDomainError,
     FlowFormatError,
+    FlowSearchResult,
     OracleBoundError,
     brute_force_flow,
     dump_flow,
@@ -49,6 +51,22 @@ EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 4
 
+# The exit code of each verdict status a command can end with.
+STATUS_EXIT = {
+    "property-holds": EXIT_OK,
+    "flow-found": EXIT_OK,
+    "property-fails": EXIT_NEGATIVE,
+    "no-flow": EXIT_NEGATIVE,
+}
+
+# The first line of a find-flow report without a flow, by reason.
+NO_FLOW_LINES = {
+    "oracle": "oracle: no causal flow exists",
+    "edge-bound": "no flow: edge count exceeds the gamma bound",
+    "no-cover": "no flow: measured vertices cannot all be matched to partners",
+    "cyclic-D": "no flow: every candidate matching induces a cyclic influencing digraph",
+}
+
 
 class CliError(ValueError):
     """Bad invocation or unusable input file."""
@@ -56,23 +74,21 @@ class CliError(ValueError):
 
 @dataclass
 class Report:
-    """Collects human-readable lines and the final verdict."""
+    """Collects human-readable lines until the verdict ends the command."""
 
     porcelain: bool
     lines: list[str] = field(default_factory=list)
 
-    def say(self, text: str) -> None:
+    def say(self, *lines: str) -> None:
         if not self.porcelain:
-            self.lines.append(text)
+            self.lines.extend(lines)
 
-    def verdict(self, status: str, **extras: object) -> None:
+    def finish(self, status: str, stream=None, **extras: object) -> int:
+        """Add the verdict, print all lines to ``stream`` (default stdout), return the exit code."""
         tail = "".join(f" {key}={value}" for key, value in extras.items() if value is not None)
         self.lines.append(f"VERDICT: {status}{tail}")
-
-    def emit(self, stream=None) -> None:
-        out = stream if stream is not None else sys.stdout
-        for line in self.lines:
-            print(line, file=out)
+        print("\n".join(self.lines), file=stream if stream is not None else sys.stdout)
+        return STATUS_EXIT[status]
 
 
 def _read_text(path: str) -> str:
@@ -80,10 +96,6 @@ def _read_text(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
-
-
-def _load_geometry_file(path: str) -> Geometry:
-    return load_geometry(_read_text(path))
 
 
 def _oracle_bound() -> int:
@@ -96,105 +108,70 @@ def _oracle_bound() -> int:
         raise CliError(f"{ORACLE_BOUND_ENV} must be an integer, got {raw!r}") from None
 
 
-def _describe_geometry(report: Report, geom: Geometry) -> None:
-    report.say(
-        f"geometry: n={geom.vertex_count} m={geom.graph.edge_count} "
-        f"inputs={len(geom.inputs)} outputs={geom.output_count}"
-    )
-
-
-def _print_flow(report: Report, geom: Geometry, flow: CausalFlow) -> None:
-    if geom.vertex_count <= 20:
-        for x, y in flow.successor.pairs:
-            report.say(f"f({geom.label_of(x)}) = {geom.label_of(y)}")
-    report.say(f"depth: {flow.depth}")
-
-
 def cmd_check_bound(args: argparse.Namespace) -> int:
     report = Report(args.porcelain)
-    geom = _load_geometry_file(args.geometry)
-    n = geom.vertex_count
-    k = geom.output_count
-    m = geom.graph.edge_count
+    geom = load_geometry(_read_text(args.geometry))
+    n, k, m = geom.vertex_count, geom.output_count, geom.graph.edge_count
     if k == 0:
         raise CliError("edge bound needs at least one output vertex")
     bound = gamma(n, k)
-    report.say(f"n = {n}")
-    report.say(f"k = {k}")
-    report.say(f"m = {m}")
-    report.say(f"gamma({n}, {k}) = {bound}")
+    report.say(f"n = {n}", f"k = {k}", f"m = {m}", f"gamma({n}, {k}) = {bound}")
     if m <= bound:
         report.say("bound check: pass (m <= gamma)")
-        report.verdict("property-holds", reason="edge-bound")
-        report.emit()
-        return EXIT_OK
+        return report.finish("property-holds", reason="edge-bound")
     report.say("bound check: reject (m > gamma, no causal flow can exist)")
-    report.verdict("property-fails", reason="edge-bound")
-    report.emit()
-    return EXIT_NEGATIVE
+    return report.finish("property-fails", reason="edge-bound")
 
 
 def cmd_find_flow(args: argparse.Namespace) -> int:
     report = Report(args.porcelain)
-    geom = _load_geometry_file(args.geometry)
-    _describe_geometry(report, geom)
-
-    if args.oracle:
-        flow = brute_force_flow(geom, bound=_oracle_bound())
-        if flow is None:
-            report.say("oracle: no causal flow exists")
-            report.verdict("no-flow", reason="oracle")
-            report.emit()
-            return EXIT_NEGATIVE
-        report.say("oracle: flow found")
-        _print_flow(report, geom, flow)
-        if args.out:
-            Path(args.out).write_text(dump_flow(geom, flow))
-            report.say(f"wrote flow to {args.out}")
-        report.verdict("flow-found", reason="oracle")
-        report.emit()
-        return EXIT_OK
-
-    result = find_causal_flow(geom)
-    if result.status == "found":
-        report.say("flow found")
-        _print_flow(report, geom, result.flow)
-        if args.out:
-            Path(args.out).write_text(dump_flow(geom, result.flow, result.cover))
-            report.say(f"wrote flow to {args.out}")
-        report.verdict("flow-found")
-        report.emit()
-        return EXIT_OK
-    if result.reason == "edge-bound":
-        report.say("no flow: edge count exceeds the gamma bound")
-    elif result.reason == "no-cover":
-        report.say("no flow: measured vertices cannot all be matched to partners")
+    geom = load_geometry(_read_text(args.geometry))
+    report.say(
+        f"geometry: n={geom.vertex_count} m={geom.graph.edge_count} "
+        f"inputs={len(geom.inputs)} outputs={geom.output_count}"
+    )
+    if not args.oracle:
+        result = find_causal_flow(geom)
+    elif (flow := brute_force_flow(geom, bound=_oracle_bound())) is not None:
+        result = FlowSearchResult("found", flow=flow)
     else:
-        report.say("no flow: every candidate matching induces a cyclic influencing digraph")
-        if result.cycle:
-            report.say("cycle witness: " + " -> ".join(geom.label_of(v) for v in result.cycle))
+        result = FlowSearchResult("no-flow", reason="oracle")
+
+    if result.status == "found":
+        flow = result.flow
+        report.say("oracle: flow found" if args.oracle else "flow found")
+        if geom.vertex_count <= 20:
+            for x, y in flow.successor.pairs:
+                report.say(f"f({geom.label_of(x)}) = {geom.label_of(y)}")
+        report.say(f"depth: {flow.depth}")
+        if args.out:
+            Path(args.out).write_text(dump_flow(geom, flow, result.cover))
+            report.say(f"wrote flow to {args.out}")
+        return report.finish("flow-found", reason="oracle" if args.oracle else None)
+    report.say(NO_FLOW_LINES[result.reason])
+    if result.cycle:
+        report.say("cycle witness: " + " -> ".join(geom.label_of(v) for v in result.cycle))
     if result.obstruction:
         report.say("obstruction: " + " ".join(geom.label_of(v) for v in result.obstruction))
-    report.verdict("no-flow", reason=result.reason)
-    report.emit()
-    return EXIT_NEGATIVE
+    return report.finish("no-flow", reason=result.reason)
+
+
+def _load_checked_flow(args: argparse.Namespace) -> tuple[Geometry, CausalFlow, FlowCheck]:
+    """The geometry and flow files named by ``args``, and ``verify_flow`` on them."""
+    geom = load_geometry(_read_text(args.geometry))
+    flow, _cover = load_flow(geom, _read_text(args.flow))
+    return geom, flow, verify_flow(geom, flow)
 
 
 def cmd_verify_flow(args: argparse.Namespace) -> int:
     report = Report(args.porcelain)
-    geom = _load_geometry_file(args.geometry)
-    flow, _cover = load_flow(geom, _read_text(args.flow))
-    check = verify_flow(geom, flow)
+    geom, _flow, check = _load_checked_flow(args)
     if check.ok:
         report.say("flow verifies: all three conditions hold")
-        report.verdict("property-holds", reason="certificate")
-        report.emit()
-        return EXIT_OK
+        return report.finish("property-holds", reason="certificate")
     witness = " ".join(geom.label_of(v) for v in (check.witness or ()))
     report.say(f"flow rejected: condition {check.condition} fails at {witness}")
-    report.verdict("property-fails", reason="certificate", condition=check.condition)
-    report.emit()
-    return EXIT_NEGATIVE
+    return report.finish("property-fails", reason="certificate", condition=check.condition)
 
 
 def cmd_gen_extremal(args: argparse.Namespace) -> int:
@@ -204,30 +181,24 @@ def cmd_gen_extremal(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise CliError(str(exc)) from None
     geom, _cover = generate_extremal(partition)
-    n = geom.vertex_count
-    k = geom.output_count
-    m = geom.graph.edge_count
+    n, k, m = geom.vertex_count, geom.output_count, geom.graph.edge_count
     bound = gamma(n, k)
     if m != bound:
-        raise CliError(f"generator produced {m} edges but gamma({n}, {k}) = {bound}")
-    report.say(f"partition: {','.join(str(p) for p in partition.parts)}")
-    report.say(f"n = {n}")
-    report.say(f"k = {k}")
+        # The partition is valid, so this is a bug in the generator (exit 4).
+        raise AssertionError(f"generator produced {m} edges but gamma({n}, {k}) = {bound}")
+    report.say(f"partition: {','.join(map(str, partition.parts))}", f"n = {n}", f"k = {k}")
     report.say(f"m = {m} = gamma({n}, {k})")
     text = serialize_geometry(geom)
     if args.out:
         Path(args.out).write_text(text)
         report.say(f"wrote geometry to {args.out}")
-        report.verdict("property-holds", reason="edge-bound")
-        report.emit()
-    else:
-        sys.stdout.write(text)
-        report.verdict("property-holds", reason="edge-bound")
-        report.emit(sys.stderr)
-    return EXIT_OK
+        return report.finish("property-holds", reason="edge-bound")
+    sys.stdout.write(text)
+    return report.finish("property-holds", sys.stderr, reason="edge-bound")
 
 
 def _parse_angle_args(geom: Geometry, raw_args: list[str]) -> dict[int, float]:
+    """Angles by vertex id; ``MeasurementPattern`` checks that they fit the measured set."""
     angles: dict[int, float] = {}
     for raw in raw_args:
         for item in raw.split(","):
@@ -242,25 +213,12 @@ def _parse_angle_args(geom: Geometry, raw_args: list[str]) -> dict[int, float]:
             except ValueError:
                 raise CliError(f"bad angle value in {item!r}") from None
             angles[geom.id_of(label.strip())] = theta
-    missing = [v for v in geom.measured if v not in angles]
-    if missing:
-        raise CliError(f"missing angle for measured vertex {geom.label_of(missing[0])!r}")
-    extra = [v for v in angles if v not in geom.measured]
-    if extra:
-        raise CliError(f"angle given for unmeasured vertex {geom.label_of(extra[0])!r}")
     return angles
-
-
-def _dump_map(report: Report, vmap) -> None:
-    for row in vmap.matrix:
-        report.say(" ".join(f"{z.real:.15g}{z.imag:+.15g}j" for z in row))
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     report = Report(args.porcelain)
-    geom = _load_geometry_file(args.geometry)
-    flow, _cover = load_flow(geom, _read_text(args.flow))
-    check = verify_flow(geom, flow)
+    geom, flow, check = _load_checked_flow(args)
     if not check.ok:
         raise CliError(f"flow file does not verify (condition {check.condition})")
 
@@ -279,7 +237,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise CliError("need --angles or --random-angles")
 
     worst = 0.0
-    vmap = None
     for idx, angles in enumerate(draws):
         try:
             pattern = MeasurementPattern(geom, flow, angles)
@@ -290,39 +247,25 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             defect = isometry_defect(vmap)
         except ZeroMapError:
             report.say(f"draw {idx}: map is zero")
-            report.verdict("property-fails", reason="certificate", defect="zero-map")
-            report.emit()
-            return EXIT_NEGATIVE
+            return report.finish("property-fails", reason="certificate", defect="zero-map")
         worst = max(worst, defect)
         report.say(f"draw {idx}: defect {defect:.3e}")
-    if args.dump_map and vmap is not None:
-        _dump_map(report, vmap)
+    if args.dump_map:
+        report.say(*(" ".join(f"{z.real:.15g}{z.imag:+.15g}j" for z in row) for row in vmap.matrix))
     holds = worst < DEFECT_THRESHOLD
     report.say(f"max defect: {worst:.3e} ({'<' if holds else '>='} {DEFECT_THRESHOLD:g})")
-    report.verdict(
-        "property-holds" if holds else "property-fails",
-        reason="isometry",
-        max_defect=f"{worst:.3e}",
-    )
-    report.emit()
-    return EXIT_OK if holds else EXIT_NEGATIVE
+    status = "property-holds" if holds else "property-fails"
+    return report.finish(status, reason="isometry", max_defect=f"{worst:.3e}")
 
 
 def cmd_order(args: argparse.Namespace) -> int:
     report = Report(args.porcelain)
-    geom = _load_geometry_file(args.geometry)
-    flow, _cover = load_flow(geom, _read_text(args.flow))
-    check = verify_flow(geom, flow)
+    geom, flow, check = _load_checked_flow(args)
     if not check.ok:
         report.say(f"flow rejected: condition {check.condition} fails")
-        report.verdict("property-fails", reason="certificate", condition=check.condition)
-        report.emit()
-        return EXIT_NEGATIVE
-    schedule = measurement_order(flow)
-    report.say("order: " + " ".join(geom.label_of(v) for v in schedule))
-    report.verdict("property-holds", reason="certificate")
-    report.emit()
-    return EXIT_OK
+        return report.finish("property-fails", reason="certificate", condition=check.condition)
+    report.say("order: " + " ".join(geom.label_of(v) for v in measurement_order(flow)))
+    return report.finish("property-holds", reason="certificate")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -372,8 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except (

@@ -1,12 +1,14 @@
 """Edge-maximal geometries: the gamma bound and the construction saturating it.
 
 A geometry on n vertices with k outputs can admit a causal flow only when
-it has at most gamma(n, k) = k*n - k*(k+1)/2 edges.  For every sorted
-partition n_1 <= ... <= n_k of n the generator below produces a geometry
-with exactly that many edges together with its canonical path cover, and
-the certificates in this module check the structural facts that make the
-construction work: no chords on paths, no crossing edges between paths,
-and a lexicographic ordering argument for acyclicity.
+it has at most gamma(n, k) = k*n - k*(k+1)/2 edges; ``gamma`` is defined
+in ``flowscope.flow``, whose edge gate uses it, and re-exported here.
+For every sorted partition n_1 <= ... <= n_k of n the generator below
+produces a geometry with exactly that many edges together with its
+canonical path cover, and the certificates in this module check the
+structural facts that make the construction work: no chords on paths,
+no crossing edges between paths, and a lexicographic ordering argument
+for acyclicity.
 """
 
 from __future__ import annotations
@@ -15,18 +17,8 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, repeat
 
-from flowscope.flow import PathCover, _influence_arcs
+from flowscope.flow import PathCover, _influence_arcs, gamma  # noqa: F401 (gamma is re-exported)
 from flowscope.geometry import Geometry, Graph, _gc_paused
-
-
-def gamma(n: int, k: int) -> int:
-    """Maximum edge count of an n-vertex geometry with k outputs that can
-    still admit a causal flow."""
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
-    if n < k:
-        raise ValueError(f"n must be at least k, got n={n}, k={k}")
-    return k * n - k * (k + 1) // 2
 
 
 @dataclass(frozen=True)
@@ -240,18 +232,10 @@ def observation_checks(geom: Geometry, cover: PathCover) -> bool:
         else:
             by_pair.setdefault((pv, pu), []).append((pos_of[v], pos_of[u]))
     for pairs in by_pair.values():
+        # Sorted by (a, b), a crossing pair exists exactly when b drops between neighbours.
         pairs.sort()
-        max_b_before = 0
-        idx = 0
-        while idx < len(pairs):
-            a = pairs[idx][0]
-            group_end = idx
-            while group_end < len(pairs) and pairs[group_end][0] == a:
-                group_end += 1
-            if any(b < max_b_before for _, b in pairs[idx:group_end]):
-                return False
-            max_b_before = max(max_b_before, max(b for _, b in pairs[idx:group_end]))
-            idx = group_end
+        if any(b2 < b1 for (_, b1), (_, b2) in zip(pairs, pairs[1:])):
+            return False
     return True
 
 

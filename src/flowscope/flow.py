@@ -137,6 +137,16 @@ class FlowSearchResult:
     obstruction: tuple[int, ...] | None = None
 
 
+def gamma(n: int, k: int) -> int:
+    """Maximum edge count of an n-vertex geometry with k outputs that can
+    still admit a causal flow."""
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
+    if n < k:
+        raise ValueError(f"n must be at least k, got n={n}, k={k}")
+    return k * n - k * (k + 1) // 2
+
+
 def verify_flow(geom: Geometry, flow: CausalFlow) -> FlowCheck:
     """Check the three flow conditions against a geometry.
 
@@ -297,11 +307,6 @@ def _splice_orbits(vertex_count: int, succ: dict[int, int]) -> tuple[tuple[int, 
     return tuple(paths)
 
 
-def _empty_flow_result() -> FlowSearchResult:
-    flow = CausalFlow(SuccessorFunction(()), ())
-    return FlowSearchResult("found", flow=flow, cover=PathCover(()))
-
-
 def _backward_greedy(geom: Geometry) -> tuple[dict[int, int], list[int], list[int]]:
     """Partners and layers from the outputs backwards, plus the unprocessed rest.
 
@@ -370,18 +375,14 @@ def find_causal_flow(geom: Geometry) -> FlowSearchResult:
     cannot all be matched to distinct partners, otherwise "cyclic-D" with
     a cycle of that matching's influencing digraph.
     """
-    from flowscope.extremal import gamma  # local import: extremal builds on this module
-
     n = geom.vertex_count
     k = geom.output_count
-    if n == 0:
-        return _empty_flow_result()
     if k >= 1 and geom.graph.edge_count > gamma(n, k):
         return FlowSearchResult("no-flow", reason="edge-bound")
 
     succ, layer, unprocessed = _backward_greedy(geom)
     if not unprocessed:
-        depth = max(layer)
+        depth = max(layer, default=0)
         flow = CausalFlow(SuccessorFunction.from_pairs(succ.items()), tuple(depth - l for l in layer))
         paths = _splice_orbits(n, succ)
         assert paths is not None  # ranks rise along every orbit
@@ -432,12 +433,8 @@ def flow_from_cover(geom: Geometry, cover: PathCover) -> FlowSearchResult:
     The cover is trusted (callers such as the extremal generator produce
     valid ones); only the flow conditions themselves are decided here.
     """
-    from flowscope.extremal import gamma  # local import: extremal builds on this module
-
     n = geom.vertex_count
     k = geom.output_count
-    if n == 0:
-        return _empty_flow_result()
     if k >= 1 and geom.graph.edge_count > gamma(n, k):
         return FlowSearchResult("no-flow", reason="edge-bound")
     succ = SuccessorFunction.from_pairs(cover.successor_pairs())
@@ -553,7 +550,8 @@ def dump_flow(geom: Geometry, flow: CausalFlow, cover: PathCover | None = None) 
     ``successor`` and ``ranks`` list vertices in label order; ``paths``
     follows the cover, by default the orbits of f.  The layout is
     ``json.dumps(payload, indent=2)`` plus a final newline, with ASCII
-    escapes.
+    escapes.  A cover that ``load_flow`` would reject, one whose paths are
+    not the orbits of f, raises the same FlowFormatError.
     """
     n = geom.vertex_count
     mapping = flow.successor.mapping
@@ -563,6 +561,7 @@ def dump_flow(geom: Geometry, flow: CausalFlow, cover: PathCover | None = None) 
             raise ValueError("successor orbits contain a cycle; cannot lay out paths")
         cover = PathCover(paths)
     _require_vertices(geom, [*mapping, *mapping.values(), *chain.from_iterable(cover.paths)])
+    _check_orbits(geom, mapping, cover.paths)
     names = geom._names
     esc = list(map(encode_basestring_ascii, names))
     order = sorted(range(n), key=names.__getitem__)

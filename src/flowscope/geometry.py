@@ -186,8 +186,7 @@ class Geometry:
             object.__setattr__(self, "labels", labels)
             if len(labels) != n:
                 raise GeometryError("label count does not match vertex count")
-            if len(set(labels)) != n:
-                raise GeometryError("duplicate vertex label")
+            object.__setattr__(self, "_label_index", _index_labels(labels))
 
     @property
     def vertex_count(self) -> int:
@@ -218,6 +217,7 @@ class Geometry:
 
     @cached_property
     def _label_index(self) -> dict[str, int]:
+        """Id by label; set on construction when labels are given."""
         return dict(zip(self._names, range(self.vertex_count)))
 
     def id_of(self, label: str) -> int:
@@ -225,6 +225,24 @@ class Geometry:
             return self._label_index[label]
         except KeyError:
             raise GeometryError(f"unknown vertex label {label!r}") from None
+
+
+def _index_labels(labels: list[str] | tuple[str, ...]) -> dict[str, int]:
+    """Map each label to its position; the labels must be distinct non-empty strings.
+
+    The first label that breaks the rule is named by its position in a
+    GeometryError.  The labels are inspected one by one only to find it.
+    """
+    index = dict(zip(labels, range(len(labels)))) if set(map(type, labels)) <= {str} else {}
+    if len(index) != len(labels) or "" in index:
+        index = {}
+        for pos, label in enumerate(labels):
+            if not isinstance(label, str) or not label:
+                raise GeometryError(f"vertices[{pos}]: labels must be non-empty strings")
+            if label in index:
+                raise GeometryError(f"vertices[{pos}]: duplicate label {label!r}")
+            index[label] = pos
+    return index
 
 
 class _DuplicateKey(Exception):
@@ -303,15 +321,7 @@ def load_geometry(text: str) -> Geometry:
             raise GeometryError(f"'{key}' must be a list")
 
     labels = data["vertices"]
-    index = dict(zip(labels, range(len(labels)))) if set(map(type, labels)) <= {str} else {}
-    if len(index) != len(labels) or "" in index:
-        index = {}
-        for pos, label in enumerate(labels):
-            if not isinstance(label, str) or not label:
-                raise GeometryError(f"vertices[{pos}]: labels must be non-empty strings")
-            if label in index:
-                raise GeometryError(f"vertices[{pos}]: duplicate label {label!r}")
-            index[label] = pos
+    index = _index_labels(labels)
 
     def check(key: str, pos: int, item: object) -> int:
         if not isinstance(item, str) or item not in index:
@@ -360,9 +370,7 @@ def load_geometry(text: str) -> Geometry:
                 seen.add(vid)
         ids_of[key] = ids
 
-    geom = Geometry(graph, ids_of["inputs"], ids_of["outputs"], tuple(labels))
-    object.__setattr__(geom, "_label_index", index)  # fills the cached property
-    return geom
+    return Geometry(graph, ids_of["inputs"], ids_of["outputs"], tuple(labels))
 
 
 def serialize_geometry(geom: Geometry) -> str:

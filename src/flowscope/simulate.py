@@ -58,8 +58,14 @@ class MeasurementPattern:
     def __post_init__(self) -> None:
         angles = dict(self.angles)
         object.__setattr__(self, "angles", angles)
-        if set(angles) != set(self.geometry.measured):
-            raise ValueError("angles must be defined on exactly the measured vertices")
+        measured = set(self.geometry.measured)
+        if angles.keys() != measured:
+            label_of = self.geometry.label_of
+            missing = [v for v in self.geometry.measured if v not in angles]
+            if missing:
+                raise ValueError(f"missing angle for measured vertex {label_of(missing[0])!r}")
+            extra = next(v for v in angles if v not in measured)
+            raise ValueError(f"angle given for unmeasured vertex {label_of(extra)!r}")
         for v, theta in sorted(angles.items()):
             if not math.isfinite(theta):
                 label = self.geometry.label_of(v)

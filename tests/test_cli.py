@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from flowscope import cli
+from flowscope import Geometry, Graph, cli
 from flowscope.cli import main
 
 from .conftest import SIX_CYCLE_TEXT
@@ -269,6 +269,22 @@ class TestInternalErrors:
         assert "Traceback" not in out + err
         assert [r.exc_info[1] for r in caplog.records] == [exc]
 
+    def test_generator_edge_count_mismatch_is_internal(self, capsys, monkeypatch):
+        # A valid partition whose geometry misses an edge is the generator's
+        # fault, not the input's.
+        real = cli.generate_extremal
+
+        def short_by_one_edge(partition):
+            geom, cover = real(partition)
+            graph = Graph.from_edges(geom.vertex_count, list(geom.graph.edges())[1:])
+            return Geometry(graph, geom.inputs, geom.outputs, geom.labels), cover
+
+        monkeypatch.setattr(cli, "generate_extremal", short_by_one_edge)
+        code, out, err = run_cli(capsys, "gen-extremal", "--partition", "2,3")
+        assert code == cli.EXIT_INTERNAL == 4
+        assert verdict_line(out) == "VERDICT: error reason=internal"
+        assert err == "error: internal: AssertionError: generator produced 6 edges but gamma(5, 2) = 7\n"
+
     def test_bad_partition_is_input_error(self, capsys):
         code, out, err = run_cli(capsys, "gen-extremal", "--partition", "2,x")
         assert code == 2
@@ -360,6 +376,240 @@ class TestSimulateAndOrder:
         code, out, _ = run_cli(capsys, "order", path_file, str(flow_file))
         assert code == 0
         assert "order: v1 v2" in out
+
+
+def _lines(*lines: str) -> str:
+    return "".join(line + "\n" for line in lines)
+
+
+def _geometry_text(vertices, edges, inputs, outputs) -> str:
+    return json.dumps({"vertices": vertices, "edges": edges, "inputs": inputs, "outputs": outputs})
+
+
+PATH_FLOW_TEXT = """\
+{
+  "successor": {
+    "v1": "v2",
+    "v2": "v3"
+  },
+  "ranks": {
+    "v1": 0,
+    "v2": 1,
+    "v3": 2
+  },
+  "paths": [
+    [
+      "v1",
+      "v2",
+      "v3"
+    ]
+  ]
+}
+"""
+
+PAIR_EXTREMAL_TEXT = """\
+{
+  "vertices": [
+    "v1_1",
+    "v2_1"
+  ],
+  "edges": [
+    [
+      "v1_1",
+      "v2_1"
+    ]
+  ],
+  "inputs": [
+    "v1_1",
+    "v2_1"
+  ],
+  "outputs": [
+    "v1_1",
+    "v2_1"
+  ]
+}
+"""
+
+TRANSCRIPT_FILES = {
+    "path.json": _geometry_text(["v1", "v2", "v3"], [["v1", "v2"], ["v2", "v3"]], ["v1"], ["v3"]),
+    "triangle.json": _geometry_text(["a", "b", "c"], [["a", "b"], ["b", "c"], ["a", "c"]], ["a"], ["c"]),
+    # Two measured leaves a and b hang on the one output c: no path cover.
+    "leaves.json": _geometry_text(["a", "b", "c"], [["a", "c"], ["b", "c"]], [], ["c"]),
+    "six.json": SIX_CYCLE_TEXT,
+    "pair.json": _geometry_text(["a", "b"], [["a", "b"]], ["a"], ["b"]),
+    "flow.json": PATH_FLOW_TEXT,
+    "pair-flow.json": '{"successor": {"a": "b"}, "ranks": {"a": 0, "b": 1}, "paths": [["a", "b"]]}',
+    "flat-flow.json": PATH_FLOW_TEXT.replace('"v2": 1', '"v2": 0').replace('"v3": 2', '"v3": 0'),
+}
+
+# (argv, exit code, stdout, stderr, files the command writes)
+TRANSCRIPTS = {
+    "check-bound-pass": (
+        ["check-bound", "path.json"], 0,
+        _lines("n = 3", "k = 1", "m = 2", "gamma(3, 1) = 2", "bound check: pass (m <= gamma)",
+               "VERDICT: property-holds reason=edge-bound"),
+        "", {},
+    ),
+    "check-bound-fail": (
+        ["check-bound", "triangle.json"], 1,
+        _lines("n = 3", "k = 1", "m = 3", "gamma(3, 1) = 2",
+               "bound check: reject (m > gamma, no causal flow can exist)",
+               "VERDICT: property-fails reason=edge-bound"),
+        "", {},
+    ),
+    "find-flow-found-out": (
+        ["find-flow", "path.json", "--out", "new-flow.json"], 0,
+        _lines("geometry: n=3 m=2 inputs=1 outputs=1", "flow found", "f(v1) = v2", "f(v2) = v3",
+               "depth: 2", "wrote flow to new-flow.json", "VERDICT: flow-found"),
+        "", {"new-flow.json": PATH_FLOW_TEXT},
+    ),
+    "find-flow-edge-bound": (
+        ["find-flow", "triangle.json"], 1,
+        _lines("geometry: n=3 m=3 inputs=1 outputs=1", "no flow: edge count exceeds the gamma bound",
+               "VERDICT: no-flow reason=edge-bound"),
+        "", {},
+    ),
+    "find-flow-no-cover": (
+        ["find-flow", "leaves.json"], 1,
+        _lines("geometry: n=3 m=2 inputs=0 outputs=1",
+               "no flow: measured vertices cannot all be matched to partners",
+               "obstruction: a b", "VERDICT: no-flow reason=no-cover"),
+        "", {},
+    ),
+    "find-flow-cyclic": (
+        ["find-flow", "six.json"], 1,
+        _lines("geometry: n=6 m=6 inputs=3 outputs=3",
+               "no flow: every candidate matching induces a cyclic influencing digraph",
+               "cycle witness: a0 -> a1 -> a2", "obstruction: a0 a1 a2",
+               "VERDICT: no-flow reason=cyclic-D"),
+        "", {},
+    ),
+    "find-flow-oracle-found": (
+        ["find-flow", "path.json", "--oracle", "--out", "new-flow.json"], 0,
+        _lines("geometry: n=3 m=2 inputs=1 outputs=1", "oracle: flow found", "f(v1) = v2", "f(v2) = v3",
+               "depth: 2", "wrote flow to new-flow.json", "VERDICT: flow-found reason=oracle"),
+        "", {"new-flow.json": PATH_FLOW_TEXT},
+    ),
+    "find-flow-oracle-no-flow": (
+        ["find-flow", "six.json", "--oracle"], 1,
+        _lines("geometry: n=6 m=6 inputs=3 outputs=3", "oracle: no causal flow exists",
+               "VERDICT: no-flow reason=oracle"),
+        "", {},
+    ),
+    "verify-flow-holds": (
+        ["verify-flow", "path.json", "flow.json"], 0,
+        _lines("flow verifies: all three conditions hold", "VERDICT: property-holds reason=certificate"),
+        "", {},
+    ),
+    "verify-flow-fails": (
+        ["verify-flow", "path.json", "flat-flow.json"], 1,
+        _lines("flow rejected: condition successor-order fails at v1 v2",
+               "VERDICT: property-fails reason=certificate condition=successor-order"),
+        "", {},
+    ),
+    "gen-extremal-out": (
+        ["gen-extremal", "--partition", "1,1", "--out", "g.json"], 0,
+        _lines("partition: 1,1", "n = 2", "k = 2", "m = 1 = gamma(2, 2)", "wrote geometry to g.json",
+               "VERDICT: property-holds reason=edge-bound"),
+        "", {"g.json": PAIR_EXTREMAL_TEXT},
+    ),
+    "gen-extremal-stdout": (
+        ["gen-extremal", "--partition", "1,1"], 0,
+        PAIR_EXTREMAL_TEXT,
+        _lines("partition: 1,1", "n = 2", "k = 2", "m = 1 = gamma(2, 2)",
+               "VERDICT: property-holds reason=edge-bound"),
+        {},
+    ),
+    "simulate-angles-dump": (
+        ["simulate", "pair.json", "pair-flow.json", "--angles", "a=0.5", "--dump-map"], 0,
+        _lines("draw 0: defect 0.000e+00",
+               "0.5+0j 0.438791280945186-0.239712769302102j",
+               "0.5+0j -0.438791280945186+0.239712769302102j",
+               "max defect: 0.000e+00 (< 1e-09)",
+               "VERDICT: property-holds reason=isometry max_defect=0.000e+00"),
+        "", {},
+    ),
+    "simulate-random": (
+        ["simulate", "pair.json", "pair-flow.json", "--random-angles", "3"], 0,
+        _lines("draw 0: defect 0.000e+00", "draw 1: defect 0.000e+00", "draw 2: defect 0.000e+00",
+               "max defect: 0.000e+00 (< 1e-09)",
+               "VERDICT: property-holds reason=isometry max_defect=0.000e+00"),
+        "", {},
+    ),
+    "simulate-missing-angle": (
+        ["simulate", "path.json", "flow.json", "--angles", "v1=0.0"], 2,
+        _lines("VERDICT: error reason=input"),
+        _lines("error: missing angle for measured vertex 'v2'"), {},
+    ),
+    "simulate-extra-angle": (
+        ["simulate", "path.json", "flow.json", "--angles", "v3=1,v1=0,v2=0"], 2,
+        _lines("VERDICT: error reason=input"),
+        _lines("error: angle given for unmeasured vertex 'v3'"), {},
+    ),
+    "simulate-flow-fails": (
+        ["simulate", "path.json", "flat-flow.json", "--random-angles", "1"], 2,
+        _lines("VERDICT: error reason=input"),
+        _lines("error: flow file does not verify (condition successor-order)"), {},
+    ),
+    "order-holds": (
+        ["order", "path.json", "flow.json"], 0,
+        _lines("order: v1 v2", "VERDICT: property-holds reason=certificate"),
+        "", {},
+    ),
+    "order-fails": (
+        ["order", "path.json", "flat-flow.json"], 1,
+        _lines("flow rejected: condition successor-order fails",
+               "VERDICT: property-fails reason=certificate condition=successor-order"),
+        "", {},
+    ),
+    "check-bound-porcelain": (
+        ["check-bound", "triangle.json", "--porcelain"], 1,
+        _lines("VERDICT: property-fails reason=edge-bound"), "", {},
+    ),
+    "find-flow-porcelain": (
+        ["find-flow", "path.json", "--porcelain", "--out", "new-flow.json"], 0,
+        _lines("VERDICT: flow-found"), "", {"new-flow.json": PATH_FLOW_TEXT},
+    ),
+    "find-flow-oracle-porcelain": (
+        ["find-flow", "six.json", "--oracle", "--porcelain"], 1,
+        _lines("VERDICT: no-flow reason=oracle"), "", {},
+    ),
+    "verify-flow-porcelain": (
+        ["verify-flow", "path.json", "flat-flow.json", "--porcelain"], 1,
+        _lines("VERDICT: property-fails reason=certificate condition=successor-order"), "", {},
+    ),
+    "gen-extremal-porcelain": (
+        ["gen-extremal", "--partition", "1,1", "--porcelain"], 0,
+        PAIR_EXTREMAL_TEXT, _lines("VERDICT: property-holds reason=edge-bound"), {},
+    ),
+    "gen-extremal-out-porcelain": (
+        ["gen-extremal", "--partition", "1,1", "--out", "g.json", "--porcelain"], 0,
+        _lines("VERDICT: property-holds reason=edge-bound"), "", {"g.json": PAIR_EXTREMAL_TEXT},
+    ),
+    "simulate-porcelain": (
+        ["simulate", "pair.json", "pair-flow.json", "--random-angles", "2", "--porcelain"], 0,
+        _lines("VERDICT: property-holds reason=isometry max_defect=0.000e+00"), "", {},
+    ),
+    "order-porcelain": (
+        ["order", "path.json", "flow.json", "--porcelain"], 0,
+        _lines("VERDICT: property-holds reason=certificate"), "", {},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(TRANSCRIPTS.values()), ids=list(TRANSCRIPTS))
+def test_golden_transcript(capsys, tmp_path, monkeypatch, case):
+    """Every byte of stdout and stderr, the exit code and each written file."""
+    argv, code, out, err, written = case
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("FLOWSCOPE_ORACLE_BOUND", raising=False)
+    for name, text in TRANSCRIPT_FILES.items():
+        (tmp_path / name).write_text(text)
+    assert run_cli(capsys, *argv) == (code, out, err)
+    for name, text in written.items():
+        assert (tmp_path / name).read_text() == text
+    made = {p.name for p in tmp_path.iterdir()} - set(TRANSCRIPT_FILES)
+    assert made == set(written)
 
 
 def test_module_entry_point(tmp_path):

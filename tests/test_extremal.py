@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from flowscope import (
@@ -261,6 +263,24 @@ class TestObservationChecks:
         g = Graph.from_edges(4, [(0, 1), (2, 3), (0, 2), (1, 3)])
         geom = Geometry(g, frozenset({0, 2}), frozenset({1, 3}))
         assert observation_checks(geom, PathCover(((0, 1), (2, 3))))
+
+    def test_crossing_test_matches_all_pairs_reference(self):
+        # Two paths 0..3 and 4..7; connecting edges join position a on the
+        # first to position b on the second.  A crossing is any two of them
+        # with a1 < a2 and b1 > b2.
+        rng = random.Random(20)
+        positions = [(a, b) for a in range(1, 5) for b in range(1, 5)]
+        path_edges = [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)]
+        cover = PathCover(((0, 1, 2, 3), (4, 5, 6, 7)))
+        verdicts = set()
+        for _ in range(2000):
+            pairs = rng.sample(positions, rng.randint(0, 6))
+            edges = path_edges + [(a - 1, b + 3) for a, b in pairs]
+            geom = Geometry(Graph.from_edges(8, edges), frozenset({0, 4}), frozenset({3, 7}))
+            crossing = any(a1 < a2 and b1 > b2 for a1, b1 in pairs for a2, b2 in pairs)
+            assert observation_checks(geom, cover) == (not crossing), pairs
+            verdicts.add(crossing)
+        assert verdicts == {False, True}
 
 
 class TestLambdaLabels:

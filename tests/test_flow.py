@@ -34,6 +34,7 @@ from flowscope.matching import max_matching
 
 from .conftest import check_cover, first_path_cover, geometries, path_geometry, saturating_assignments
 from .digraph_reference import acyclic_order, influence_arcs, influence_order
+from .json_reference import reference_dump_flow
 
 
 # 4-cycle with no inputs and two adjacent outputs: it has a flow and four
@@ -367,7 +368,9 @@ class TestPathCover:
             with pytest.raises(ValueError, match=cover_message):
                 check_cover(six_cycle, PathCover(paths))
             with pytest.raises(FlowFormatError, match=file_message):
-                load_flow(six_cycle, dump_flow(six_cycle, flow, PathCover(paths)))
+                load_flow(six_cycle, reference_dump_flow(six_cycle, flow, PathCover(paths)))
+            with pytest.raises(FlowFormatError, match=file_message):
+                dump_flow(six_cycle, flow, PathCover(paths))
 
     def test_validation_checks_endpoint_membership(self):
         geom = Geometry(path_geometry(3).graph, frozenset({1}), frozenset({2}))

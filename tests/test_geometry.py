@@ -120,6 +120,25 @@ class TestGeometryModel:
         with pytest.raises(GeometryError):
             Geometry(g, frozenset({9}), frozenset())
 
+    @pytest.mark.parametrize(
+        "labels, message",
+        [
+            (("a", "b", "a"), "vertices[2]: duplicate label 'a'"),
+            (("a", "", "c"), "vertices[1]: labels must be non-empty strings"),
+            (("a", "b", 3), "vertices[2]: labels must be non-empty strings"),
+        ],
+    )
+    def test_bad_labels_named_by_position(self, labels, message):
+        g = Graph.from_edges(3, [(0, 1)])
+        with pytest.raises(GeometryError) as exc:
+            Geometry(g, frozenset(), frozenset(), labels)
+        assert str(exc.value) == message
+
+    def test_labels_indexed_on_construction(self):
+        geom = Geometry(Graph.from_edges(2, [(0, 1)]), frozenset(), frozenset(), ["x", "y"])
+        assert geom.labels == ("x", "y")
+        assert (geom.id_of("y"), geom.label_of(0)) == (1, "x")
+
     def test_immutable(self):
         g = Graph.from_edges(2, [(0, 1)])
         geom = Geometry(g, frozenset(), frozenset())

@@ -116,6 +116,21 @@ class TestSimulatePostselected:
         with pytest.raises(ValueError, match="measured"):
             MeasurementPattern(geom, flow, {0: 0.0})
 
+    @pytest.mark.parametrize(
+        "angles, message",
+        [
+            ({1: 0.0}, "missing angle for measured vertex '0'"),
+            ({0: 0.0}, "missing angle for measured vertex '1'"),
+            ({2: 0.0, 0: 0.0, 1: 0.0}, "angle given for unmeasured vertex '2'"),
+            ({0: 0.0, 1: 0.0, 2: 0.0}, "angle given for unmeasured vertex '2'"),
+        ],
+    )
+    def test_angle_domain_names_first_offender(self, angles, message):
+        geom = path_geometry(3)
+        flow = find_causal_flow(geom).flow
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            MeasurementPattern(geom, flow, angles)
+
     @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
     def test_non_finite_angle_rejected(self, theta):
         geom = path_geometry(3)
