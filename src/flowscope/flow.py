@@ -448,71 +448,63 @@ def brute_force_flow(geom: Geometry, *, bound: int = DEFAULT_ORACLE_BOUND) -> Ca
     """Exhaustive oracle: try every injective f along edges, smallest first.
 
     Independent of the greedy pipeline on purpose: the influencing arcs
-    are rebuilt inline and acyclicity is checked with a colouring DFS, so
-    the two routes only share definitions, not code.  Partial assignments
-    already containing a digraph cycle are pruned, which is sound because
-    extending f only adds arcs.
+    are kept inline, one list per assigned vertex, so the two routes only
+    share definitions, not code.  Measured vertices take partners in
+    ascending order, each trying its candidates in ascending order, and
+    the first complete acyclic assignment wins.  Partial assignments
+    whose digraph has a cycle are pruned, which is sound because
+    extending f only adds arcs.  The arcs already placed are acyclic and
+    the new ones all leave x, so giving x a partner closes a cycle exactly
+    when one DFS from the new arcs' targets reaches x.  The levels keep
+    their next candidate index in one list, not on the call stack, so the
+    search depth is limited only by memory.
     """
     n = geom.vertex_count
     if n > bound:
         raise OracleBoundError(f"instance has {n} vertices; oracle bound is {bound}")
-    if n == 0:
-        return CausalFlow(SuccessorFunction(()), ())
     measured, candidates = _candidate_table(geom)
     adj = geom.graph.adjacency
-    succ: dict[int, int] = {}
-    used: set[int] = set()
-
-    def influence_lists() -> list[list[int]]:
-        out: list[list[int]] = [[] for _ in range(n)]
-        for x, fx in succ.items():
-            out[x].append(fx)
-            out[x].extend(y for y in adj[fx] if y != x)
-        return out
-
-    def has_cycle(out: list[list[int]]) -> bool:
-        color = [0] * n  # 0 white, 1 on stack, 2 done
-        for root in range(n):
-            if color[root] != 0:
-                continue
-            stack: list[tuple[int, int]] = [(root, 0)]
-            color[root] = 1
-            while stack:
-                u, idx = stack[-1]
-                if idx < len(out[u]):
-                    stack[-1] = (u, idx + 1)
-                    w = out[u][idx]
-                    if color[w] == 1:
-                        return True
-                    if color[w] == 0:
-                        color[w] = 1
-                        stack.append((w, 0))
-                else:
-                    color[u] = 2
-                    stack.pop()
-        return False
-
-    def search(i: int) -> bool:
-        if i == len(measured):
-            return True
+    out: list[list[int]] = [[] for _ in range(n)]  # f(x) first, then its other neighbours
+    used = [False] * n
+    seen = [0] * n  # visit stamp of the last cycle test that reached each vertex
+    stamp = 0
+    levels = len(measured)
+    nxt = [0] * levels  # next candidate index per level
+    i = 0
+    while 0 <= i < levels:
         x = measured[i]
-        for y in candidates[i]:
-            if y in used:
+        if out[x]:  # back from level i + 1: release x's partner
+            used[out[x][0]] = False
+            out[x] = []
+        cands = candidates[i]
+        for j in range(nxt[i], len(cands)):
+            y = cands[j]
+            if used[y]:
                 continue
-            succ[x] = y
-            used.add(y)
-            if not has_cycle(influence_lists()) and search(i + 1):
-                return True
-            del succ[x]
-            used.discard(y)
-        return False
-
-    if not search(0):
+            arcs = [y, *adj[y]]
+            arcs.remove(x)  # y is a neighbour of x, so x occurs once
+            stamp += 1
+            stack = arcs[:]
+            while stack:
+                u = stack.pop()
+                if u == x:
+                    break
+                if seen[u] != stamp:
+                    seen[u] = stamp
+                    stack += out[u]
+            else:  # x is unreachable: keep y
+                out[x] = arcs
+                used[y] = True
+                nxt[i] = j + 1
+                i += 1
+                break
+        else:  # candidates exhausted: back to level i - 1
+            nxt[i] = 0
+            i -= 1
+    if i < 0:
         return None
-
-    out = influence_lists()
-    ranks = _dfs_topological_ranks(n, out)
-    return CausalFlow(SuccessorFunction.from_pairs(succ.items()), ranks)
+    pairs = [(x, out[x][0]) for x in measured]
+    return CausalFlow(SuccessorFunction.from_pairs(pairs), _dfs_topological_ranks(n, out))
 
 
 def _dfs_topological_ranks(n: int, out: list[list[int]]) -> tuple[int, ...]:

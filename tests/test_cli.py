@@ -162,6 +162,15 @@ class TestFindFlow:
         code, out, _ = run_cli(capsys, "find-flow", str(f), "--oracle")
         assert code == 0
 
+    def test_oracle_on_long_path_under_raised_bound(self, capsys, tmp_path, monkeypatch):
+        f = tmp_path / "path1200.json"
+        code, _, _ = run_cli(capsys, "gen-extremal", "--partition", "1200", "--out", str(f))
+        assert code == 0
+        monkeypatch.setenv("FLOWSCOPE_ORACLE_BOUND", "1500")
+        code, out, _ = run_cli(capsys, "find-flow", str(f), "--oracle")
+        assert code == 0
+        assert verdict_line(out) == "VERDICT: flow-found reason=oracle"
+
     def test_duplicate_geometry_key_exits_2(self, capsys, tmp_path):
         f = tmp_path / "dup.json"
         f.write_text(
