@@ -30,6 +30,7 @@ from flowscope.flow import (
     find_causal_flow,
     load_flow,
     verify_flow,
+    verify_obstruction,
 )
 from flowscope.geometry import Geometry, GeometryError, load_geometry, serialize_geometry
 from flowscope.simulate import (
@@ -136,6 +137,7 @@ def cmd_find_flow(args: argparse.Namespace) -> int:
         result = FlowSearchResult("found", flow=flow)
     else:
         result = FlowSearchResult("no-flow", reason="oracle")
+    _check_certificate(geom, result)
 
     if result.status == "found":
         flow = result.flow
@@ -154,6 +156,20 @@ def cmd_find_flow(args: argparse.Namespace) -> int:
     if result.obstruction:
         report.say("obstruction: " + " ".join(geom.label_of(v) for v in result.obstruction))
     return report.finish("no-flow", reason=result.reason)
+
+
+def _check_certificate(geom: Geometry, result: FlowSearchResult) -> None:
+    """Raise AssertionError (exit 4) unless a found flow passes ``verify_flow``
+    and an obstruction ``verify_obstruction``, so no wrong verdict is printed."""
+    try:
+        if result.status == "found":
+            ok = verify_flow(geom, result.flow).ok
+        else:
+            ok = result.reason in ("edge-bound", "oracle") or verify_obstruction(geom, result.obstruction or ())
+    except FlowDomainError:
+        ok = False
+    if not ok:
+        raise AssertionError(f"{result.status} verdict ({result.reason}) fails its certificate check")
 
 
 def _load_checked_flow(args: argparse.Namespace) -> tuple[Geometry, CausalFlow, FlowCheck]:

@@ -11,7 +11,8 @@ the outputs, a processed vertex with exactly one unprocessed neighbour
 becomes that neighbour's partner.  The greedy is complete, so every
 geometry is decided, and the flow it builds has minimum depth.  When it
 stalls, the vertices it never processed form a no-flow certificate that
-``verify_obstruction`` checks in O(n + m).
+``verify_obstruction`` checks in O(n + m), and completing the greedy's
+partial matching names the reason.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from flowscope.geometry import (
     json_block,
     load_json_object,
 )
-from flowscope.matching import max_matching
 
 DEFAULT_ORACLE_BOUND = 10
 
@@ -123,7 +123,7 @@ class FlowSearchResult:
 
     ``status`` is "found" or "no-flow".  A no-flow verdict carries a reason
     tag ("edge-bound", "no-cover", or "cyclic-D"); for cyclic-D, ``cycle``
-    is a cycle of the influencing digraph of one saturating matching.
+    is a cycle of the influencing digraph of the greedy's matching, completed.
     Unless the edge gate decided, a no-flow verdict also carries
     ``obstruction``, the vertices the greedy never processed, ascending;
     ``verify_obstruction`` accepts it.
@@ -370,10 +370,11 @@ def find_causal_flow(geom: Geometry) -> FlowSearchResult:
     Pipeline: reject immediately when the edge count exceeds the gamma
     bound for k = |outputs|; then run the backward greedy, whose layer
     l(v) gives the rank depth - l(v).  When the greedy stalls, no flow
-    exists and the unprocessed vertices are the obstruction.  One maximum
-    matching then names the reason: "no-cover" when measured vertices
-    cannot all be matched to distinct partners, otherwise "cyclic-D" with
-    a cycle of that matching's influencing digraph.
+    exists and the unprocessed vertices are the obstruction.  Completing
+    the greedy's partial matching then names the reason: "no-cover" when
+    measured vertices cannot all be matched to distinct partners,
+    otherwise "cyclic-D" with a cycle of the completed matching's
+    influencing digraph.
     """
     n = geom.vertex_count
     k = geom.output_count
@@ -389,17 +390,80 @@ def find_causal_flow(geom: Geometry) -> FlowSearchResult:
         return FlowSearchResult("found", flow=flow, cover=PathCover(paths))
 
     obstruction = tuple(unprocessed)
-    if k == 0:
-        # k paths must cover n > 0 vertices; impossible with zero paths.
+    # With k = 0, k paths must cover n > 0 vertices; impossible with zero paths.
+    if k == 0 or not _complete_matching(geom, succ, unprocessed):
         return FlowSearchResult("no-flow", reason="no-cover", obstruction=obstruction)
-    measured, candidates = _candidate_table(geom)
-    matching = max_matching(candidates)
-    if None in matching:
-        return FlowSearchResult("no-flow", reason="no-cover", obstruction=obstruction)
-    _ranks, cycle = _influence_order(geom, list(zip(measured, matching)))
+    _ranks, cycle = _influence_order(geom, list(succ.items()))
     if cycle is None:
         raise AssertionError("backward greedy stalled on a geometry that has a flow")
     return FlowSearchResult("no-flow", reason="cyclic-D", cycle=cycle, obstruction=obstruction)
+
+
+def _complete_matching(geom: Geometry, succ: dict[int, int], exposed: list[int]) -> bool:
+    """Extend ``succ`` in place to give every vertex of ``exposed`` a partner; False if impossible.
+
+    ``succ`` matches measured vertices to distinct non-input neighbours,
+    and ``exposed`` lists the measured vertices it leaves out.  Each phase
+    layers the measured vertices by their alternating distance to a free
+    partner, searching backwards from every free non-input vertex.  An
+    exposed vertex left unlayered has no augmenting path, so no matching
+    saturates it and the answer is False.  Otherwise each exposed vertex,
+    ascending, augments along strictly falling layers through vertices
+    not yet used in the phase, and those that fail wait for the next
+    phase.  A root on layer 0 takes its first free partner.
+    """
+    n = geom.vertex_count
+    adj = geom.graph.adjacency
+    inputs = geom.inputs
+    owner = [-1] * n  # the measured vertex matched to each partner
+    for x, y in succ.items():
+        owner[y] = x
+    # Outputs never get a layer: the sentinel n marks them as not measured.
+    unlayered = [n if v in geom.outputs else -1 for v in range(n)]
+    free = [y for y in range(n) if owner[y] < 0 and y not in inputs]
+    while exposed:
+        free = [y for y in free if owner[y] < 0]
+        layer = unlayered[:]
+        partners, depth = free, 0
+        while partners:
+            upcoming = []
+            for y in partners:
+                for x in adj[y]:
+                    if layer[x] < 0:
+                        layer[x] = depth
+                        if x in succ:
+                            upcoming.append(succ[x])
+            partners, depth = upcoming, depth + 1
+        if any(layer[x] < 0 for x in exposed):
+            return False
+        used = [False] * n
+        for root in exposed:
+            path = [root]
+            scans = [iter(adj[root])]
+            while path:
+                x = path[-1]
+                for y in scans[-1]:
+                    if y in inputs:
+                        continue
+                    o = owner[y]
+                    if o < 0:
+                        # y is free: each vertex on the path takes the next one's partner.
+                        for u in reversed(path):
+                            owner[y] = u
+                            succ[u], y = y, succ.get(u)
+                            used[u] = True
+                        path = []
+                        break
+                    if layer[o] == layer[x] - 1 and not used[o]:
+                        path.append(o)
+                        scans.append(iter(adj[o]))
+                        break
+                else:
+                    used[x] = True
+                    path.pop()
+                    scans.pop()
+        exposed = [x for x in exposed if x not in succ]
+    return True
 
 
 def verify_obstruction(geom: Geometry, obstruction: Iterable[int]) -> bool:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import strategies as st
 
 from flowscope import Geometry, Graph, PathCover, load_geometry
-from flowscope.flow import _splice_orbits
+from flowscope.flow import _influence_arcs, _splice_orbits
 
 # Alternating 6-cycle a0-b0-a1-b1-a2-b2-a0 with the a side as inputs and
 # the b side as outputs; the canonical geometry without a causal flow.
@@ -60,6 +60,31 @@ def saturating_assignments(candidates):
     for choice in product(*candidates):
         if len(set(choice)) == len(choice):
             yield choice
+
+
+def no_flow_reason_fault(geom: Geometry, result) -> str | None:
+    """How a no-flow reason contradicts the enumeration of saturating assignments, or None.
+
+    The reason must be "no-cover" exactly when there is no output or no
+    assignment pairs every measured vertex with a distinct neighbour
+    outside the inputs; a "cyclic-D" cycle must be a closed walk of the
+    influencing digraph of one such assignment.
+    """
+    allowed = set(geom.non_inputs)
+    candidates = [[y for y in geom.graph.adjacency[x] if y in allowed] for x in geom.measured]
+    assignments = saturating_assignments(candidates)
+    if result.reason == "no-cover":
+        if geom.output_count and next(assignments, None) is not None:
+            return "no-cover, but a saturating assignment exists"
+        return None
+    if result.reason != "cyclic-D" or not geom.output_count:
+        return f"reason {result.reason} with {geom.output_count} outputs"
+    cycle = result.cycle
+    walk = set(zip(cycle, cycle[1:] + cycle[:1]))
+    for assignment in assignments:
+        if walk <= set(_influence_arcs(geom, zip(geom.measured, assignment))):
+            return None
+    return f"cycle {cycle} is in the influencing digraph of no saturating assignment"
 
 
 def first_path_cover(geom: Geometry) -> PathCover | None:

@@ -32,7 +32,7 @@ from flowscope import (
     verify_obstruction,
 )
 
-from .conftest import SIX_CYCLE_TEXT, first_path_cover
+from .conftest import SIX_CYCLE_TEXT, first_path_cover, no_flow_reason_fault
 from .digraph_reference import influence_order
 
 ANGLE_DRAWS = 20
@@ -191,6 +191,22 @@ def test_no_flow_certificates_verify(small_geometry_sweep):
         "4b (no-flow certificates)",
         checked > 0 and rejected == 0,
         f"{checked} obstructions, rejected={rejected}",
+    )
+
+
+def test_no_flow_reasons_match_enumeration(small_geometry_sweep):
+    checked = 0
+    faults = []
+    for geom, _oracle, result in small_geometry_sweep:
+        if result.status == "no-flow" and result.reason != "edge-bound":
+            checked += 1
+            fault = no_flow_reason_fault(geom, result)
+            if fault is not None:
+                faults.append((sorted(geom.graph.edges()), fault))
+    report(
+        "4c (no-flow reasons)",
+        checked > 0 and not faults,
+        f"{checked} reasons against the saturating assignments, faults={faults[:3]}",
     )
 
 

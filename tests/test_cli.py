@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from flowscope import Geometry, Graph, cli
+from flowscope import CausalFlow, FlowSearchResult, Geometry, Graph, SuccessorFunction, cli
 from flowscope.cli import main
 
 from .conftest import SIX_CYCLE_TEXT
@@ -293,6 +293,28 @@ class TestInternalErrors:
         assert code == cli.EXIT_INTERNAL == 4
         assert verdict_line(out) == "VERDICT: error reason=internal"
         assert err == "error: internal: AssertionError: generator produced 6 edges but gamma(5, 2) = 7\n"
+
+    @pytest.mark.parametrize(
+        "result",
+        [
+            FlowSearchResult("no-flow", reason="cyclic-D", cycle=(0, 1, 2), obstruction=(0, 1, 3)),
+            FlowSearchResult("no-flow", reason="no-cover"),
+            FlowSearchResult(
+                "found", flow=CausalFlow(SuccessorFunction.from_pairs([(0, 3), (1, 4), (2, 5)]), (0,) * 6)
+            ),
+            FlowSearchResult("found", flow=CausalFlow(SuccessorFunction.from_pairs([(0, 3)]), (0,) * 6)),
+        ],
+        ids=["bad-obstruction", "no-obstruction", "flow-fails", "flow-off-domain"],
+    )
+    def test_find_flow_checks_its_certificate(self, capsys, monkeypatch, six_cycle_file, result):
+        monkeypatch.setattr(cli, "find_causal_flow", lambda geom: result)
+        code, out, err = run_cli(capsys, "find-flow", six_cycle_file)
+        assert code == cli.EXIT_INTERNAL == 4
+        assert out == "VERDICT: error reason=internal\n"
+        assert err == (
+            f"error: internal: AssertionError: {result.status} verdict ({result.reason}) "
+            "fails its certificate check\n"
+        )
 
     def test_bad_partition_is_input_error(self, capsys):
         code, out, err = run_cli(capsys, "gen-extremal", "--partition", "2,x")

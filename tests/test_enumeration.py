@@ -1,30 +1,10 @@
-"""Maximum matching, and the lexicographic enumeration the sweeps rely on."""
+"""The lexicographic enumeration of saturating assignments that the sweeps rely on."""
 
 from __future__ import annotations
 
 from itertools import permutations
 
-from flowscope.matching import max_matching
-
 from .conftest import saturating_assignments
-
-
-def test_max_matching_simple():
-    assert max_matching([[0, 1], [0]]) == [1, 0]
-    assert max_matching([[0], [0]]) == [0, None]
-    assert max_matching([]) == []
-    assert max_matching([[]]) == [None]
-
-
-def test_max_matching_uses_each_right_vertex_once():
-    candidates = [[0, 1], [1]]
-    assert max_matching(candidates) == [0, 1]
-    assert max_matching([[5, 7], [5], [7, 9]]) == [7, 5, 9]
-
-
-def test_max_matching_ascending_tie_break():
-    # the six-cycle's two saturating matchings; the smaller one is returned
-    assert max_matching([[3, 5], [3, 4], [4, 5]]) == [3, 4, 5]
 
 
 def test_enumeration_complete_bipartite_is_all_permutations():

@@ -29,10 +29,16 @@ from flowscope import (
     verify_flow,
     verify_obstruction,
 )
-from flowscope.flow import _candidate_table, _influence_arcs, _influence_order, _splice_orbits
-from flowscope.matching import max_matching
+from flowscope.flow import _influence_arcs, _influence_order, _splice_orbits
 
-from .conftest import check_cover, first_path_cover, geometries, path_geometry, saturating_assignments
+from .conftest import (
+    check_cover,
+    first_path_cover,
+    geometries,
+    no_flow_reason_fault,
+    path_geometry,
+    saturating_assignments,
+)
 from .digraph_reference import acyclic_order, influence_arcs, influence_order
 from .json_reference import reference_dump_flow
 
@@ -54,16 +60,16 @@ def grid_geometry(rows: int, cols: int) -> Geometry:
 
 
 def disjoint_union(parts: list[Geometry]) -> Geometry:
-    edges: list[tuple[int, int]] = []
+    adjacency: list[tuple[int, ...]] = []
     inputs: set[int] = set()
     outputs: set[int] = set()
-    offset = 0
     for part in parts:
-        edges += [(u + offset, v + offset) for u, v in part.graph.edges()]
+        offset = len(adjacency)
+        adjacency += [tuple(w + offset for w in nbrs) for nbrs in part.graph.adjacency]
         inputs |= {v + offset for v in part.inputs}
         outputs |= {v + offset for v in part.outputs}
-        offset += part.vertex_count
-    return Geometry(Graph.from_edges(offset, edges), frozenset(inputs), frozenset(outputs))
+    graph = Graph(len(adjacency), tuple(adjacency), sum(part.graph.edge_count for part in parts))
+    return Geometry(graph, frozenset(inputs), frozenset(outputs))
 
 
 def random_geometry(rng: random.Random, n: int) -> Geometry:
@@ -79,6 +85,60 @@ def random_geometry(rng: random.Random, n: int) -> Geometry:
     inputs = rng.sample(pool, rng.randint(0, min(3, len(pool))))
     outputs = frozenset(p[-1] for p in paths)
     return Geometry(Graph.from_edges(n, sorted(edges)), frozenset(inputs), outputs)
+
+
+def random_sparse_geometry(rng: random.Random, n: int, m: int, k: int) -> Geometry:
+    """m distinct random edges on n vertices, with k random inputs and k random outputs."""
+    edges: set[tuple[int, int]] = set()
+    rand = rng.random
+    while len(edges) < m:
+        u, v = int(rand() * n), int(rand() * n)
+        if u != v:
+            edges.add((u, v) if u < v else (v, u))
+    inputs, outputs = rng.sample(range(n), k), rng.sample(range(n), k)
+    return Geometry(Graph.from_edges(n, edges), frozenset(inputs), frozenset(outputs))
+
+
+def stalling_geometry(d: int, j: int) -> Geometry:
+    """A no-flow family on which the greedy stalls at once and plain per-root augmenting is quadratic.
+
+    Every vertex is an input or an output.  Inputs s, s2 and outputs h1, h2
+    span a complete bipartite square.  A dead cycle alternates inputs p_i
+    and outputs q_i, p_i adjacent to q_i and q_(i+1 mod d).  Each of j
+    gadgets has inputs w, r and outputs z, f with edges w-z, w-f, f-s,
+    r-q_0 and r-z, so r reaches its only free partner past the dead cycle's
+    entry q_0.  Ids follow this creation order.
+    """
+    edges = [(0, 2), (0, 3), (1, 2), (1, 3)]
+    p = range(4, 4 + d)
+    q = range(4 + d, 4 + 2 * d)
+    edges += [(p[i], q[i]) for i in range(d)] + [(p[i], q[(i + 1) % d]) for i in range(d)]
+    inputs = [0, 1, *p]
+    outputs = [2, 3, *q]
+    for i in range(j):
+        w, r, z, f = (4 + 2 * d + 4 * i + c for c in range(4))
+        inputs += [w, r]
+        outputs += [z, f]
+        edges += [(w, z), (w, f), (f, 0), (r, q[0]), (r, z)]
+    return Geometry(Graph.from_edges(4 + 2 * d + 4 * j, edges), frozenset(inputs), frozenset(outputs))
+
+
+def counting_geometry(geom: Geometry) -> tuple[Geometry, list[int]]:
+    """``geom`` whose neighbour lists add their length to ``reads[0]`` on every scan or membership test."""
+    reads = [0]
+
+    class CountingNeighbours(tuple):
+        def __iter__(self):
+            reads[0] += len(self)
+            return super().__iter__()
+
+        def __contains__(self, v):
+            reads[0] += len(self)
+            return super().__contains__(v)
+
+    g = geom.graph
+    counting = Graph(g.vertex_count, tuple(map(CountingNeighbours, g.adjacency)), g.edge_count)
+    return Geometry(counting, geom.inputs, geom.outputs), reads
 
 
 def exhaustive_min_depth(geom: Geometry) -> int | None:
@@ -279,47 +339,18 @@ class TestImplicitInfluencingDigraph:
             reference_ranks, _ = influence_order(g, c.successor_pairs())
             assert flow_from_cover(g, c).flow.order_rank == reference_ranks
 
-    def test_search_cycles_match_reference(self):
-        rng = random.Random(4)
-        checked = 0
-        for _ in range(300):
-            geom = random_geometry(rng, rng.randint(6, 30))
-            res = find_causal_flow(geom)
-            if res.reason != "cyclic-D":
-                continue
-            measured, candidates = _candidate_table(geom)
-            _, reference_cycle = influence_order(geom, zip(measured, max_matching(candidates)))
-            assert res.cycle == reference_cycle
-            checked += 1
-        assert checked >= 50
-
     def test_work_is_exactly_linear_on_extremal_k5(self):
         # Every neighbour-list scan or membership test adds the list's length.
         # Each of the n - 5 pairs (x, f(x)) costs three passes over adj[f(x)]:
         # two while counting in-degrees and one when x is ranked.  f maps onto
         # the non-inputs, whose degrees sum to 2m less the 35 of the five path
         # starts, so the total is 6m - 105 at every size.
-        reads = 0
-
-        class CountingNeighbours(tuple):
-            def __iter__(self):
-                nonlocal reads
-                reads += len(self)
-                return super().__iter__()
-
-            def __contains__(self, v):
-                nonlocal reads
-                reads += len(self)
-                return super().__contains__(v)
-
         for n in (10_000, 20_000, 40_000):
             geom, cover = generate_extremal(ExtremalPartition((n // 5,) * 5))
-            g = geom.graph
-            counting = Graph(g.vertex_count, tuple(map(CountingNeighbours, g.adjacency)), g.edge_count)
-            reads = 0
-            ranks, _ = _influence_order(Geometry(counting, geom.inputs, geom.outputs), cover.successor_pairs())
+            counting, reads = counting_geometry(geom)
+            ranks, _ = _influence_order(counting, cover.successor_pairs())
             assert ranks == flow_from_cover(geom, cover).flow.order_rank
-            assert reads == 6 * g.edge_count - 105, n
+            assert reads[0] == 6 * geom.graph.edge_count - 105, n
 
 
 class TestPathCover:
@@ -485,6 +516,44 @@ class TestFindCausalFlow:
                 assert res.status == "found"
                 assert verify_flow(geom, res.flow).ok
                 assert res.flow.depth == best
+
+    def test_no_flow_reasons_match_enumeration(self):
+        # Seeded sample with n <= 8; the criterion-4 sweep checks every
+        # geometry with n <= 6 the same way.
+        rng = random.Random(11)
+        reasons = {"no-cover": 0, "cyclic-D": 0}
+        for _ in range(300):
+            geom = random_geometry(rng, rng.randint(1, 8))
+            res = find_causal_flow(geom)
+            if res.status == "no-flow" and res.reason != "edge-bound":
+                assert no_flow_reason_fault(geom, res) is None, geom
+                reasons[res.reason] += 1
+        assert min(reasons.values()) >= 20, reasons
+
+    @pytest.mark.parametrize("size", [1000, 2000, 4000])
+    def test_naming_the_reason_is_linear_on_stalling_family(self, size):
+        # Augmenting from each r one at a time walks the whole dead cycle
+        # first, which is quadratic; the layered phases read about 8.1m.
+        geom = stalling_geometry(size, size)
+        counting, reads = counting_geometry(geom)
+        res = find_causal_flow(counting)
+        assert res.reason == "cyclic-D"
+        assert res.obstruction == tuple(sorted(geom.inputs))  # the greedy stalls at once
+        assert reads[0] <= 12 * geom.graph.edge_count
+
+    def test_names_no_flow_reasons_at_40000(self, six_cycle):
+        sparse = random_sparse_geometry(random.Random(40), 40_000, 120_000, 5)
+        extremal, _cover = generate_extremal(ExtremalPartition((8000,) * 5))
+        gadget = disjoint_union([extremal, six_cycle])
+        offset = extremal.vertex_count
+        res = find_causal_flow(sparse)
+        assert res.reason == "no-cover"
+        assert verify_obstruction(sparse, res.obstruction)
+        res = find_causal_flow(gadget)
+        assert res.reason == "cyclic-D"
+        assert res.obstruction == (offset, offset + 1, offset + 2)
+        assert set(res.cycle) <= set(range(offset, offset + 6))
+        assert verify_obstruction(gadget, res.obstruction)
 
     def test_decides_extremal_k5_at_40000_under_one_second(self):
         geom, _cover = generate_extremal(ExtremalPartition((8000,) * 5))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib
+import importlib.util
 
 import flowscope
 
@@ -56,3 +57,8 @@ def test_public_surface():
     for module_name in ("flowscope", "flowscope.flow", "flowscope.geometry"):
         module = importlib.import_module(module_name)
         assert [name for name in REMOVED_NAMES if hasattr(module, name)] == [], module_name
+
+
+def test_matching_module_is_gone():
+    # The no-flow reason completes the greedy's own matching inside flowscope.flow.
+    assert importlib.util.find_spec("flowscope.matching") is None
