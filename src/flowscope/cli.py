@@ -28,6 +28,7 @@ from flowscope.flow import (
     brute_force_flow,
     dump_flow,
     find_causal_flow,
+    flow_from_cover,
     load_flow,
     verify_flow,
     verify_obstruction,
@@ -137,7 +138,9 @@ def cmd_find_flow(args: argparse.Namespace) -> int:
         result = FlowSearchResult("found", flow=flow)
     else:
         result = FlowSearchResult("no-flow", reason="oracle")
-    _check_certificate(geom, result)
+    if not _certificate_holds(geom, result):
+        # Exit 4, so that no wrong verdict is printed.
+        raise AssertionError(f"{result.status} verdict ({result.reason}) fails its certificate check")
 
     if result.status == "found":
         flow = result.flow
@@ -147,7 +150,7 @@ def cmd_find_flow(args: argparse.Namespace) -> int:
                 report.say(f"f({geom.label_of(x)}) = {geom.label_of(y)}")
         report.say(f"depth: {flow.depth}")
         if args.out:
-            Path(args.out).write_text(dump_flow(geom, flow, result.cover))
+            Path(args.out).write_text(dump_flow(geom, flow))
             report.say(f"wrote flow to {args.out}")
         return report.finish("flow-found", reason="oracle" if args.oracle else None)
     report.say(NO_FLOW_LINES[result.reason])
@@ -158,18 +161,14 @@ def cmd_find_flow(args: argparse.Namespace) -> int:
     return report.finish("no-flow", reason=result.reason)
 
 
-def _check_certificate(geom: Geometry, result: FlowSearchResult) -> None:
-    """Raise AssertionError (exit 4) unless a found flow passes ``verify_flow``
-    and an obstruction ``verify_obstruction``, so no wrong verdict is printed."""
+def _certificate_holds(geom: Geometry, result: FlowSearchResult) -> bool:
+    """Whether a found flow passes ``verify_flow`` and an obstruction ``verify_obstruction``."""
     try:
         if result.status == "found":
-            ok = verify_flow(geom, result.flow).ok
-        else:
-            ok = result.reason in ("edge-bound", "oracle") or verify_obstruction(geom, result.obstruction or ())
+            return verify_flow(geom, result.flow).ok
+        return result.reason in ("edge-bound", "oracle") or verify_obstruction(geom, result.obstruction or ())
     except FlowDomainError:
-        ok = False
-    if not ok:
-        raise AssertionError(f"{result.status} verdict ({result.reason}) fails its certificate check")
+        return False
 
 
 def _load_checked_flow(args: argparse.Namespace) -> tuple[Geometry, CausalFlow, FlowCheck]:
@@ -196,12 +195,16 @@ def cmd_gen_extremal(args: argparse.Namespace) -> int:
         partition = ExtremalPartition.parse(args.partition)
     except ValueError as exc:
         raise CliError(str(exc)) from None
-    geom, _cover = generate_extremal(partition)
+    geom, cover = generate_extremal(partition)
     n, k, m = geom.vertex_count, geom.output_count, geom.graph.edge_count
     bound = gamma(n, k)
+    # The partition is valid, so a failed check is a bug in the generator (exit 4).
     if m != bound:
-        # The partition is valid, so this is a bug in the generator (exit 4).
         raise AssertionError(f"generator produced {m} edges but gamma({n}, {k}) = {bound}")
+    result = flow_from_cover(geom, cover)
+    if result.status != "found" or not _certificate_holds(geom, result):
+        raise AssertionError("the generated cover does not give a flow that passes verify_flow")
+    del result, cover  # freed before the geometry is serialized
     report.say(f"partition: {','.join(map(str, partition.parts))}", f"n = {n}", f"k = {k}")
     report.say(f"m = {m} = gamma({n}, {k})")
     text = serialize_geometry(geom)
@@ -248,7 +251,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         import numpy as np
 
         rng = np.random.default_rng(args.seed)
-        draws = [draw_angles(geom.measured, rng) for _ in range(args.random_angles)]
+        # Drawn one at a time, so the qubit cap is checked before the second draw.
+        draws = (draw_angles(geom.measured, rng) for _ in range(args.random_angles))
     else:
         raise CliError("need --angles or --random-angles")
 

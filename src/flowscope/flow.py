@@ -203,7 +203,7 @@ def _influence_arcs(geom: Geometry, pairs: Iterable[tuple[int, int]]) -> Iterabl
 
 
 def _influence_order(
-    geom: Geometry, pairs: list[tuple[int, int]]
+    geom: Geometry, pairs: Iterable[tuple[int, int]]
 ) -> tuple[tuple[int, ...] | None, tuple[int, ...] | None]:
     """Ranks of the influencing digraph of ``pairs`` as ``(ranks, None)``, or ``(None, cycle)``.
 
@@ -248,29 +248,30 @@ def _influence_order(
         depth += 1
     if min(layer, default=0) >= 0:
         return tuple(layer), None
-    popped = [rank >= 0 for rank in layer]
-    return None, _extract_cycle(n, _influence_arcs(geom, pairs), popped)
+    return None, _extract_cycle(adj, image, layer)
 
 
-def _extract_cycle(n: int, arcs: Iterable[tuple[int, int]], popped: list[bool]) -> tuple[int, ...]:
-    """The cycle met walking back from the smallest unpopped vertex, rotated to its smallest.
+def _extract_cycle(adj: tuple[tuple[int, ...], ...], image: list[int | None], layer: list[int]) -> tuple[int, ...]:
+    """The cycle met walking back from the smallest unranked vertex, rotated to its smallest.
 
-    Each step goes to the smallest unpopped predecessor.  Every unpopped
-    vertex keeps one, so the walk revisits a vertex within n steps.
+    ``image`` is an injective f, and ``layer`` is -1 on the vertices that
+    ``_influence_order`` left unranked.  The predecessors of v are the u
+    with f(u) = v or with f(u) adjacent to v (u != v), so each is read
+    from f's inverse at v and at v's neighbours.  Each step goes to the
+    smallest unranked predecessor.  Every unranked vertex keeps one, so
+    the walk revisits a vertex within n steps.
     """
-    preds: dict[int, list[int]] = {}
-    for u, v in arcs:
-        if not popped[u] and not popped[v]:
-            preds.setdefault(v, []).append(u)
-    start = min(v for v in range(n) if not popped[v] and v in preds)
-    seen = {start: 0}
-    path = [start]
-    cur = start
+    source = [-1] * len(image)  # the inverse of f
+    for u, fu in enumerate(image):
+        if fu is not None:
+            source[fu] = u
+    cur = layer.index(-1)
+    seen = {cur: 0}
+    path = [cur]
     while True:
-        prev = min(preds[cur])
+        prev = min(u for w in (cur, *adj[cur]) if (u := source[w]) >= 0 and u != cur and layer[u] < 0)
         if prev in seen:
-            backward = path[seen[prev]:]
-            cycle = list(reversed(backward))
+            cycle = path[seen[prev]:][::-1]
             pivot = cycle.index(min(cycle))
             return tuple(cycle[pivot:] + cycle[:pivot])
         seen[prev] = len(path)
@@ -288,8 +289,10 @@ def _candidate_table(geom: Geometry) -> tuple[list[int], list[list[int]]]:
 
 
 def _splice_orbits(vertex_count: int, succ: dict[int, int]) -> tuple[tuple[int, ...], ...] | None:
-    """Chain f into paths; None when some orbit closes into a cycle."""
+    """Chain f into paths; None when f is not injective or some orbit closes into a cycle."""
     image = set(succ.values())
+    if len(image) != len(succ):
+        return None
     paths: list[tuple[int, ...]] = []
     covered = 0
     for start in range(vertex_count):
@@ -511,24 +514,25 @@ def flow_from_cover(geom: Geometry, cover: PathCover) -> FlowSearchResult:
 def brute_force_flow(geom: Geometry, *, bound: int = DEFAULT_ORACLE_BOUND) -> CausalFlow | None:
     """Exhaustive oracle: try every injective f along edges, smallest first.
 
-    Independent of the greedy pipeline on purpose: the influencing arcs
-    are kept inline, one list per assigned vertex, so the two routes only
-    share definitions, not code.  Measured vertices take partners in
-    ascending order, each trying its candidates in ascending order, and
-    the first complete acyclic assignment wins.  Partial assignments
-    whose digraph has a cycle are pruned, which is sound because
-    extending f only adds arcs.  The arcs already placed are acyclic and
-    the new ones all leave x, so giving x a partner closes a cycle exactly
-    when one DFS from the new arcs' targets reaches x.  The levels keep
-    their next candidate index in one list, not on the call stack, so the
-    search depth is limited only by memory.
+    Independent of the greedy pipeline on purpose: it shares only the
+    candidate table and the final ranking with it.  Measured vertices
+    take partners in ascending order, each trying its candidates in
+    ascending order, and the first complete acyclic assignment wins.
+    Partial assignments whose digraph has a cycle are pruned, which is
+    sound because extending f only adds arcs.  The arcs of a placed u are
+    f(u) and the other neighbours of f(u), so f alone holds them.  They
+    are acyclic and the new ones all leave x, so giving x a partner closes
+    a cycle exactly when one DFS from the new arcs' targets reaches x.
+    The levels keep their next candidate index in one list, not on the
+    call stack, so the search depth is limited only by memory.  The
+    flow's ranks are longest-path ranks, from ``_influence_order``.
     """
     n = geom.vertex_count
     if n > bound:
         raise OracleBoundError(f"instance has {n} vertices; oracle bound is {bound}")
     measured, candidates = _candidate_table(geom)
     adj = geom.graph.adjacency
-    out: list[list[int]] = [[] for _ in range(n)]  # f(x) first, then its other neighbours
+    image = [-1] * n  # f(u) of each placed u
     used = [False] * n
     seen = [0] * n  # visit stamp of the last cycle test that reached each vertex
     stamp = 0
@@ -537,27 +541,29 @@ def brute_force_flow(geom: Geometry, *, bound: int = DEFAULT_ORACLE_BOUND) -> Ca
     i = 0
     while 0 <= i < levels:
         x = measured[i]
-        if out[x]:  # back from level i + 1: release x's partner
-            used[out[x][0]] = False
-            out[x] = []
+        if image[x] >= 0:  # back from level i + 1: release x's partner
+            used[image[x]] = False
+            image[x] = -1
         cands = candidates[i]
         for j in range(nxt[i], len(cands)):
             y = cands[j]
             if used[y]:
                 continue
-            arcs = [y, *adj[y]]
-            arcs.remove(x)  # y is a neighbour of x, so x occurs once
             stamp += 1
-            stack = arcs[:]
+            stack = [y, *adj[y]]
+            stack.remove(x)  # y is a neighbour of x, so x occurs once
             while stack:
                 u = stack.pop()
                 if u == x:
                     break
                 if seen[u] != stamp:
                     seen[u] = stamp
-                    stack += out[u]
+                    fu = image[u]
+                    if fu >= 0:
+                        stack.append(fu)
+                        stack += adj[fu]
             else:  # x is unreachable: keep y
-                out[x] = arcs
+                image[x] = y
                 used[y] = True
                 nxt[i] = j + 1
                 i += 1
@@ -567,34 +573,9 @@ def brute_force_flow(geom: Geometry, *, bound: int = DEFAULT_ORACLE_BOUND) -> Ca
             i -= 1
     if i < 0:
         return None
-    pairs = [(x, out[x][0]) for x in measured]
-    return CausalFlow(SuccessorFunction.from_pairs(pairs), _dfs_topological_ranks(n, out))
-
-
-def _dfs_topological_ranks(n: int, out: list[list[int]]) -> tuple[int, ...]:
-    # Reverse postorder of a DFS over a DAG; arcs strictly increase rank.
-    postorder: list[int] = []
-    visited = [False] * n
-    for root in range(n):
-        if visited[root]:
-            continue
-        visited[root] = True
-        stack: list[tuple[int, int]] = [(root, 0)]
-        while stack:
-            u, idx = stack[-1]
-            if idx < len(out[u]):
-                stack[-1] = (u, idx + 1)
-                w = out[u][idx]
-                if not visited[w]:
-                    visited[w] = True
-                    stack.append((w, 0))
-            else:
-                postorder.append(u)
-                stack.pop()
-    ranks = [0] * n
-    for pos, v in enumerate(reversed(postorder)):
-        ranks[v] = pos
-    return tuple(ranks)
+    succ = SuccessorFunction.from_pairs((x, image[x]) for x in measured)
+    ranks, _cycle = _influence_order(geom, succ.pairs)
+    return CausalFlow(succ, ranks)
 
 
 FLOW_FILE_KEYS = ("successor", "ranks", "paths")
@@ -606,18 +587,22 @@ def dump_flow(geom: Geometry, flow: CausalFlow, cover: PathCover | None = None) 
     ``successor`` and ``ranks`` list vertices in label order; ``paths``
     follows the cover, by default the orbits of f.  The layout is
     ``json.dumps(payload, indent=2)`` plus a final newline, with ASCII
-    escapes.  A cover that ``load_flow`` would reject, one whose paths are
-    not the orbits of f, raises the same FlowFormatError.
+    escapes.  An id of f that is not a vertex raises GeometryError, and
+    an f that is not injective or has a cyclic orbit raises ValueError.
+    A cover that ``load_flow`` would reject, one whose paths are not the
+    orbits of f, raises the same FlowFormatError.
     """
     n = geom.vertex_count
     mapping = flow.successor.mapping
+    _require_vertices(geom, [*mapping, *mapping.values()])
     if cover is None:
         paths = _splice_orbits(n, mapping)
         if paths is None:
-            raise ValueError("successor orbits contain a cycle; cannot lay out paths")
-        cover = PathCover(paths)
-    _require_vertices(geom, [*mapping, *mapping.values(), *chain.from_iterable(cover.paths)])
-    _check_orbits(geom, mapping, cover.paths)
+            raise ValueError("f is not injective or has a cyclic orbit; cannot lay out paths")
+    else:
+        paths = cover.paths
+        _require_vertices(geom, list(chain.from_iterable(paths)))
+        _check_orbits(geom, mapping, paths)
     names = geom._names
     esc = list(map(encode_basestring_ascii, names))
     order = sorted(range(n), key=names.__getitem__)
@@ -625,7 +610,7 @@ def dump_flow(geom: Geometry, flow: CausalFlow, cover: PathCover | None = None) 
     fields = (
         ("successor", json_block([f"{esc[x]}: {esc[mapping[x]]}" for x in order if x in mapping], 1, "{}")),
         ("ranks", json_block([f"{esc[v]}: {ranks[v]}" for v in order], 1, "{}")),
-        ("paths", json_block([json_block([esc[v] for v in path], 2) for path in cover.paths], 1)),
+        ("paths", json_block([json_block([esc[v] for v in path], 2) for path in paths], 1)),
     )
     return json_block([f'"{key}": {value}' for key, value in fields], 0, "{}") + "\n"
 

@@ -10,7 +10,7 @@ package's oracle does, and nothing else.
 from __future__ import annotations
 
 from flowscope import CausalFlow, Geometry, OracleBoundError, SuccessorFunction
-from flowscope.flow import DEFAULT_ORACLE_BOUND, _candidate_table, _dfs_topological_ranks
+from flowscope.flow import DEFAULT_ORACLE_BOUND, _candidate_table, _influence_order
 
 
 def reference_brute_force_flow(geom: Geometry, *, bound: int = DEFAULT_ORACLE_BOUND) -> CausalFlow | None:
@@ -76,6 +76,5 @@ def reference_brute_force_flow(geom: Geometry, *, bound: int = DEFAULT_ORACLE_BO
     if not search(0):
         return None
 
-    out = influence_lists()
-    ranks = _dfs_topological_ranks(n, out)
+    ranks, _cycle = _influence_order(geom, sorted(succ.items()))
     return CausalFlow(SuccessorFunction.from_pairs(succ.items()), ranks)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from flowscope import CausalFlow, FlowSearchResult, Geometry, Graph, SuccessorFunction, cli
+from flowscope import CausalFlow, FlowSearchResult, Geometry, Graph, PathCover, SuccessorFunction, cli
 from flowscope.cli import main
 
 from .conftest import SIX_CYCLE_TEXT
@@ -295,6 +295,30 @@ class TestInternalErrors:
         assert err == "error: internal: AssertionError: generator produced 6 edges but gamma(5, 2) = 7\n"
 
     @pytest.mark.parametrize(
+        "breaking",
+        [
+            lambda paths: tuple(path[::-1] for path in paths),
+            lambda paths: (paths[0][:1] + paths[1][1:], paths[1][:1] + paths[0][1:], *paths[2:]),
+        ],
+        ids=["reversed-paths", "swapped-tails"],
+    )
+    def test_generator_cover_without_flow_is_internal(self, capsys, monkeypatch, breaking):
+        # The generated cover must give a flow that passes verify_flow.
+        real = cli.generate_extremal
+
+        def broken_cover(partition):
+            geom, cover = real(partition)
+            return geom, PathCover(breaking(cover.paths))
+
+        monkeypatch.setattr(cli, "generate_extremal", broken_cover)
+        code, out, err = run_cli(capsys, "gen-extremal", "--partition", "2,3")
+        assert code == cli.EXIT_INTERNAL == 4
+        assert out == "VERDICT: error reason=internal\n"
+        assert err == (
+            "error: internal: AssertionError: the generated cover does not give a flow that passes verify_flow\n"
+        )
+
+    @pytest.mark.parametrize(
         "result",
         [
             FlowSearchResult("no-flow", reason="cyclic-D", cycle=(0, 1, 2), obstruction=(0, 1, 3)),
@@ -380,6 +404,28 @@ class TestSimulateAndOrder:
         lines = out.splitlines()
         assert "0.5+0j 0.5+0j" in lines
         assert "0.5+0j -0.5+0j" in lines
+
+    def test_qubit_cap_checked_before_further_draws(self, capsys, tmp_path, monkeypatch):
+        # A 13-vertex geometry is over the default cap of 12 qubits.
+        geom_file = tmp_path / "g.json"
+        flow_file = tmp_path / "f.json"
+        run_cli(capsys, "gen-extremal", "--partition", "13", "--out", str(geom_file))
+        run_cli(capsys, "find-flow", str(geom_file), "--out", str(flow_file))
+        real = cli.draw_angles
+        calls = []
+
+        def counted(vertices, rng):
+            calls.append(None)
+            return real(vertices, rng)
+
+        monkeypatch.setattr(cli, "draw_angles", counted)
+        code, out, err = run_cli(
+            capsys, "simulate", str(geom_file), str(flow_file), "--random-angles", "1000"
+        )
+        assert code == 2
+        assert verdict_line(out) == "VERDICT: error reason=input"
+        assert err == "error: instance has 13 qubits; simulation bound is 12\n"
+        assert len(calls) == 1
 
     def test_missing_angle_exits_2(self, capsys, tmp_path, path_file):
         flow_file = tmp_path / "f.json"

@@ -16,6 +16,7 @@ from flowscope import (
     classify_arcs,
     count_connecting_edges,
     find_causal_flow,
+    flow_from_cover,
     gamma,
     generate_extremal,
     lambda_labels,
@@ -23,6 +24,8 @@ from flowscope import (
     observation_checks,
     verify_flow,
 )
+
+from flowscope.flow import DEFAULT_ORACLE_BOUND
 
 from .conftest import check_cover
 from .digraph_reference import influence_arcs, influence_order
@@ -313,6 +316,30 @@ class TestLambdaLabels:
                     assert len(labels) == len(set(labels))
                     lo = p.parts[i - 1] + p.parts[j - 1]
                     assert all(2 <= lam <= lo for lam in labels)
+
+
+def random_partition(rng: random.Random, max_n: int) -> ExtremalPartition:
+    k = rng.randint(1, 8)
+    n = rng.randint(k, max_n)
+    cuts = sorted(rng.sample(range(1, n), k - 1))
+    return ExtremalPartition(tuple(sorted(b - a for a, b in zip([0, *cuts], [*cuts, n]))))
+
+
+def test_greedy_returns_the_unique_flow():
+    """With |I| = |O| a geometry has at most one flow, so the greedy must return the cover's."""
+    rng = random.Random(20070229)
+    for _ in range(40):
+        partition = random_partition(rng, 5000)
+        geom, cover = generate_extremal(partition)
+        assert len(geom.inputs) == len(geom.outputs) == partition.k
+        assert find_causal_flow(geom).flow.successor.pairs == tuple(sorted(cover.successor_pairs())), partition
+
+
+@pytest.mark.parametrize("n", range(1, DEFAULT_ORACLE_BOUND + 1))
+def test_oracle_returns_the_unique_flow_with_longest_path_ranks(n):
+    for parts in iter_partitions(n):
+        geom, cover = generate_extremal(ExtremalPartition(parts))
+        assert brute_force_flow(geom) == flow_from_cover(geom, cover).flow, parts
 
 
 def test_single_edge_addition_kills_the_flow():

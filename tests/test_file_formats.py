@@ -127,12 +127,28 @@ class TestByteIdentity:
             ([(0, 3), (1, 4), (2, -1)], ((0, 3), (1, 4), (2, 5))),
             ([(0, 3), (1, 4), (7, 5)], ((0, 3), (1, 4), (2, 5))),
             ([(0, 3), (1, 4), (2, 5)], ((0, 3), (1, 4), (2, 6))),
+            ([(0, 7)], None),
         ],
     )
     def test_unknown_vertex_in_flow_rejected(self, six_cycle, pairs, paths):
         flow = CausalFlow(SuccessorFunction.from_pairs(pairs), (0,) * 6)
         with pytest.raises(GeometryError, match="unknown vertex"):
-            dump_flow(six_cycle, flow, PathCover(paths))
+            dump_flow(six_cycle, flow, paths and PathCover(paths))
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            [(0, 2), (1, 2)],
+            [(0, 1), (1, 0)],
+            [(0, 1), (1, 2), (2, 1)],
+            [(0, 2), (1, 2), (2, 5), (3, 4), (4, 3)],
+        ],
+        ids=["merge", "two-cycle", "merge-into-cycle", "merge-beside-cycle"],
+    )
+    def test_unsplicable_flow_without_cover_rejected(self, six_cycle, pairs):
+        flow = CausalFlow(SuccessorFunction.from_pairs(pairs), (0,) * 6)
+        with pytest.raises(ValueError, match="^f is not injective or has a cyclic orbit; cannot lay out paths$"):
+            dump_flow(six_cycle, flow)
 
 
 def traced_peak(call):
