@@ -4,6 +4,12 @@ Vertices are dense integers 0..n-1 everywhere inside the package.  String
 labels exist only at the ingestion and serialization boundary; they are
 carried on the geometry so output stays readable.
 
+Each rule is checked once, where the data enters: ``load_geometry``
+checks a file and builds its geometry without running the constructor's
+checks again, and ``Geometry(...)`` checks what a caller hands it.  The
+label index behind ``id_of`` is built on first use; a loaded geometry
+keeps the index that resolved its file.
+
 Reading and writing a geometry file makes no object per edge beyond what
 the JSON parser builds.  ``load_geometry`` resolves the parsed label
 pairs into one flat list of edge ends ``u0, v0, u1, v1, ...`` and frees
@@ -61,6 +67,13 @@ def _gc_paused(func):
                 gc.collect(0)
 
     return call
+
+
+def _unchecked(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` holding ``fields``, which obey its rules; no check runs."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 class GeometryError(ValueError):
@@ -127,10 +140,9 @@ class Graph:
             raise
         for nbrs in adj:
             nbrs.sort()
-        m = len(ends) // 2
-        if sum(map(len, map(set, adj))) != 2 * m or min([nbrs[0] for nbrs in adj if nbrs], default=0) < 0:
+        if sum(map(len, map(set, adj))) != len(ends) or min([nbrs[0] for nbrs in adj if nbrs], default=0) < 0:
             _raise_first_bad_edge(n, ends)
-        return cls(n, tuple(map(tuple, adj)), m)
+        return _unchecked(cls, vertex_count=n, adjacency=tuple(map(tuple, adj)), edge_count=len(ends) // 2)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges as (u, v) with u < v, in ascending order."""
@@ -186,7 +198,7 @@ class Geometry:
             object.__setattr__(self, "labels", labels)
             if len(labels) != n:
                 raise GeometryError("label count does not match vertex count")
-            object.__setattr__(self, "_label_index", _index_labels(labels))
+            _check_labels(labels)
 
     @property
     def vertex_count(self) -> int:
@@ -217,7 +229,7 @@ class Geometry:
 
     @cached_property
     def _label_index(self) -> dict[str, int]:
-        """Id by label; set on construction when labels are given."""
+        """Id by label, built on first use; ``load_geometry`` hands over its own."""
         return dict(zip(self._names, range(self.vertex_count)))
 
     def id_of(self, label: str) -> int:
@@ -227,22 +239,23 @@ class Geometry:
             raise GeometryError(f"unknown vertex label {label!r}") from None
 
 
-def _index_labels(labels: list[str] | tuple[str, ...]) -> dict[str, int]:
-    """Map each label to its position; the labels must be distinct non-empty strings.
+def _check_labels(labels: tuple) -> None:
+    """Raise GeometryError unless the labels are distinct non-empty strings.
 
-    The first label that breaks the rule is named by its position in a
-    GeometryError.  The labels are inspected one by one only to find it.
+    The first label that breaks the rule is named by its position.  The
+    labels are inspected one by one only to find it.
     """
-    index = dict(zip(labels, range(len(labels)))) if set(map(type, labels)) <= {str} else {}
-    if len(index) != len(labels) or "" in index:
-        index = {}
-        for pos, label in enumerate(labels):
-            if not isinstance(label, str) or not label:
-                raise GeometryError(f"vertices[{pos}]: labels must be non-empty strings")
-            if label in index:
-                raise GeometryError(f"vertices[{pos}]: duplicate label {label!r}")
-            index[label] = pos
-    return index
+    if set(map(type, labels)) <= {str}:
+        distinct = set(labels)
+        if len(distinct) == len(labels) and "" not in distinct:
+            return
+    seen: set[str] = set()
+    for pos, label in enumerate(labels):
+        if not isinstance(label, str) or not label:
+            raise GeometryError(f"vertices[{pos}]: labels must be non-empty strings")
+        if label in seen:
+            raise GeometryError(f"vertices[{pos}]: duplicate label {label!r}")
+        seen.add(label)
 
 
 class _DuplicateKey(Exception):
@@ -282,13 +295,12 @@ def load_json_object(text: str, keys: tuple[str, ...], error: type[ValueError], 
         raise error(f"malformed {kind} file: nested too deeply") from None
     if not isinstance(data, dict):
         raise error(f"{kind} file must contain a top-level object")
+    if data.keys() == set(keys):
+        return data
     missing = [k for k in keys if k not in data]
     if missing:
         raise error(f"missing key(s): {', '.join(missing)}")
-    unknown = [k for k in data if k not in keys]
-    if unknown:
-        raise error(f"unknown key(s): {', '.join(unknown)}")
-    return data
+    raise error(f"unknown key(s): {', '.join(k for k in data if k not in keys)}")
 
 
 def json_block(items: list[str], depth: int, brackets: str = "[]") -> str:
@@ -310,18 +322,21 @@ def load_geometry(text: str) -> Geometry:
     """Parse a geometry file (see ``serialize_geometry`` for the format).
 
     Labels are mapped to dense integer ids in file order and retained on
-    the returned geometry.  Structural problems are reported with the
-    offending key and position.  Each list is resolved in one pass; its
-    items are inspected one by one only to name the first bad one.
-    Self-loops and duplicate edges are left to ``Graph._from_ends``.
+    the returned geometry, with the index that resolved them.  Structural
+    problems are reported with the offending key and position.  Each list
+    is resolved in one pass; its items are inspected one by one only to
+    name the first bad one.  Self-loops and duplicate edges are left to
+    ``Graph._from_ends``.  Every rule is checked here, so the geometry is
+    built without the constructor's checks.
     """
     data = load_json_object(text, FILE_KEYS, GeometryError, "geometry")
     for key in FILE_KEYS:
         if not isinstance(data[key], list):
             raise GeometryError(f"'{key}' must be a list")
 
-    labels = data["vertices"]
-    index = _index_labels(labels)
+    labels = tuple(data["vertices"])
+    _check_labels(labels)
+    index = dict(zip(labels, range(len(labels))))
 
     def check(key: str, pos: int, item: object) -> int:
         if not isinstance(item, str) or item not in index:
@@ -330,11 +345,11 @@ def load_geometry(text: str) -> Geometry:
 
     pairs = data["edges"]
     ends = None
-    if set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}:
-        try:
+    try:
+        if set(map(list.__len__, pairs)) <= {2}:  # list.__len__ rejects anything but a list
             ends = list(map(index.__getitem__, chain.from_iterable(pairs)))
-        except (KeyError, TypeError):
-            pass
+    except (KeyError, TypeError):
+        pass
     if ends is None:  # some pair is malformed or names an unknown label
         for pos, pair in enumerate(pairs):
             if not (isinstance(pair, list) and len(pair) == 2):
@@ -358,7 +373,7 @@ def load_geometry(text: str) -> Geometry:
     for key in ("inputs", "outputs"):
         items = data[key]
         try:
-            ids = frozenset(index[item] for item in items)
+            ids = frozenset(map(index.__getitem__, items))
         except (KeyError, TypeError):
             ids = frozenset()
         if len(ids) != len(items):
@@ -370,7 +385,8 @@ def load_geometry(text: str) -> Geometry:
                 seen.add(vid)
         ids_of[key] = ids
 
-    return Geometry(graph, ids_of["inputs"], ids_of["outputs"], tuple(labels))
+    # Every rule is checked; the index that resolved the file becomes the cached ``_label_index``.
+    return _unchecked(Geometry, graph=graph, labels=labels, _label_index=index, **ids_of)
 
 
 def serialize_geometry(geom: Geometry) -> str:

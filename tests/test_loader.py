@@ -1,0 +1,173 @@
+"""The geometry loader against its frozen reference, and when the label index is built."""
+
+from __future__ import annotations
+
+import json
+from functools import cached_property
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from flowscope import (
+    ExtremalPartition,
+    Geometry,
+    GeometryError,
+    Graph,
+    dump_flow,
+    find_causal_flow,
+    generate_extremal,
+    load_flow,
+    load_geometry,
+    serialize_geometry,
+)
+
+from .conftest import geometries
+from .loader_reference import reference_load_geometry
+
+LABELS = st.text(st.sampled_from("ab'\"\\é"), min_size=1, max_size=3)
+NOT_LABELS = st.sampled_from([3, None, "", ["a"], True, 1.5, {"a": 1}])
+
+
+@st.composite
+def geometry_data(draw) -> dict:
+    """A valid geometry file as a JSON object, its lists in any order."""
+    geom = draw(geometries())
+    n = geom.vertex_count
+    labels = draw(st.lists(LABELS, min_size=n, max_size=n, unique=True))
+    edges = [[labels[u], labels[v]][:: draw(st.sampled_from([1, -1]))] for u, v in geom.graph.edges()]
+    return {
+        "vertices": labels,
+        "edges": draw(st.permutations(edges)),
+        "inputs": draw(st.permutations([labels[v] for v in geom.inputs])),
+        "outputs": draw(st.permutations([labels[v] for v in geom.outputs])),
+    }
+
+
+def mutate(draw, data: dict, kind: str) -> None:
+    """Apply one fault of ``kind`` to ``data`` in place, where the file has room for it."""
+    vertices, edges = data.get("vertices"), data.get("edges")
+    # Faults that replace or remove a key come last, so only they may find a key gone or not a list.
+    index = st.integers(0, max(len(vertices) - 1, 0)) if isinstance(vertices, list) else None
+    if kind == "drop-label" and vertices:
+        del vertices[draw(index)]
+    elif kind == "duplicate-label" and vertices:
+        vertices.insert(draw(st.integers(0, len(vertices))), vertices[draw(index)])
+    elif kind == "bad-label" and vertices:
+        vertices[draw(index)] = draw(NOT_LABELS)
+    elif kind == "unknown-edge-label" and edges:
+        pair = edges[draw(st.integers(0, len(edges) - 1))]
+        pair[draw(st.integers(0, 1))] = draw(st.one_of(NOT_LABELS, st.just("zz")))
+    elif kind == "bad-pair" and edges:
+        pos = draw(st.integers(0, len(edges) - 1))
+        edges[pos] = draw(st.sampled_from([edges[pos] + edges[pos][:1], edges[pos][:1], "ab", None]))
+    elif kind == "self-loop" and vertices:
+        edges.insert(draw(st.integers(0, len(edges))), [vertices[draw(index)]] * 2)
+    elif kind == "duplicate-edge" and edges:
+        edges.insert(draw(st.integers(0, len(edges))), edges[draw(st.integers(0, len(edges) - 1))][::-1])
+    elif kind == "duplicate-input":
+        key = draw(st.sampled_from(["inputs", "outputs"]))
+        items = data[key]
+        if items:
+            items.insert(draw(st.integers(0, len(items))), items[draw(st.integers(0, len(items) - 1))])
+    elif kind == "unknown-input":
+        items = data[draw(st.sampled_from(["inputs", "outputs"]))]
+        items.insert(draw(st.integers(0, len(items))), draw(st.one_of(NOT_LABELS, st.just("zz"))))
+    elif kind == "not-a-list":
+        data[draw(st.sampled_from(sorted(data)))] = draw(st.sampled_from(["a", 1, None, {}]))
+    elif kind == "missing-key":
+        del data[draw(st.sampled_from(sorted(data)))]
+    elif kind == "unknown-key":
+        data["extra"] = []
+
+
+TEXT_FAULTS = {
+    "duplicate-key": lambda text: text.replace("{", '{"inputs": [], ', 1),
+    "bom": lambda text: "\ufeff" + text,
+    "truncated": lambda text: text[:-1],
+    "not-an-object": lambda text: "[" + text + "]",
+}
+DATA_FAULTS = [
+    "drop-label", "duplicate-label", "bad-label", "unknown-edge-label", "bad-pair", "self-loop",
+    "duplicate-edge", "duplicate-input", "unknown-input", "not-a-list", "missing-key", "unknown-key",
+]  # in the order they are applied: the last three replace or remove a key
+
+
+@st.composite
+def geometry_texts(draw) -> str:
+    """A geometry file with one or two faults, each in its data or its text."""
+    data = draw(geometry_data())
+    faults = draw(st.lists(st.sampled_from(DATA_FAULTS + list(TEXT_FAULTS)), min_size=1, max_size=2))
+    for kind in sorted(set(faults) & set(DATA_FAULTS), key=DATA_FAULTS.index):
+        mutate(draw, data, kind)
+    text = json.dumps(data, indent=draw(st.sampled_from([None, 2])))
+    for kind in faults:
+        if kind in TEXT_FAULTS:
+            text = TEXT_FAULTS[kind](text)
+    return text
+
+
+def outcome(load, text: str):
+    """What ``load`` makes of ``text``: the geometry with its label index, or the error."""
+    try:
+        geom = load(text)
+    except GeometryError as exc:
+        return type(exc), str(exc)
+    ids = {label: geom.id_of(label) for label in geom.labels}
+    return geom.graph, geom.inputs, geom.outputs, geom.labels, ids
+
+
+@given(geometry_texts())
+@settings(max_examples=200, deadline=None)
+def test_loader_matches_reference(text):
+    assert outcome(load_geometry, text) == outcome(reference_load_geometry, text)
+
+
+@pytest.fixture
+def index_builds(monkeypatch) -> list[Geometry]:
+    """The geometries whose ``_label_index`` property builds an index, in call order."""
+    built: list[Geometry] = []
+    build = Geometry.__dict__["_label_index"].func
+
+    def counted(geom: Geometry) -> dict[str, int]:
+        built.append(geom)
+        return build(geom)
+
+    prop = cached_property(counted)
+    prop.__set_name__(Geometry, "_label_index")
+    monkeypatch.setattr(Geometry, "_label_index", prop)
+    return built
+
+
+def test_loaded_geometry_keeps_the_loaders_index(index_builds):
+    geom, _ = generate_extremal(ExtremalPartition((3, 4, 5)))
+    loaded = load_geometry(serialize_geometry(geom))
+    assert vars(loaded)["_label_index"] == {label: v for v, label in enumerate(loaded.labels)}
+    assert [loaded.id_of(label) for label in loaded.labels] == list(range(loaded.vertex_count))
+    flow = find_causal_flow(loaded).flow
+    assert load_flow(loaded, dump_flow(loaded, flow))[0] == flow
+    assert index_builds == []
+
+
+@pytest.mark.parametrize("asks", ["id_of", "load_flow"])
+@pytest.mark.parametrize("make", ["generate_extremal", "Geometry"])
+def test_constructed_geometry_indexes_labels_on_first_use(index_builds, make, asks):
+    if make == "generate_extremal":
+        geom, _ = generate_extremal(ExtremalPartition((3, 4, 5)))
+    else:
+        geom = Geometry(Graph.from_edges(3, [(0, 1), (1, 2)]), frozenset({0}), frozenset({2}), ["x", "y", "z"])
+    assert "_label_index" not in vars(geom)
+    flow = find_causal_flow(geom).flow
+    text = dump_flow(geom, flow)
+    assert index_builds == []
+    if asks == "id_of":
+        assert [geom.id_of(label) for label in geom.labels] == list(range(geom.vertex_count))
+    else:
+        assert load_flow(geom, text)[0] == flow
+    assert geom.id_of(geom.labels[-1]) == geom.vertex_count - 1
+    assert len(index_builds) == 1 and index_builds[0] is geom
+
+
+def test_constructor_checks_label_count():
+    with pytest.raises(GeometryError, match="^label count does not match vertex count$"):
+        Geometry(Graph.from_edges(2, [(0, 1)]), frozenset(), frozenset(), ("a",))
