@@ -335,7 +335,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse printed the help, or the usage and the error
+        if not exc.code:
+            raise
+        print("VERDICT: error reason=input")
+        return EXIT_INPUT
     try:
         return args.handler(args)
     except (

@@ -68,9 +68,6 @@ class SuccessorFunction:
     def mapping(self) -> dict[int, int]:
         return dict(self.pairs)
 
-    def sources(self) -> tuple[int, ...]:
-        return tuple(x for x, _ in self.pairs)
-
 
 @dataclass(frozen=True)
 class PathCover:
@@ -126,7 +123,8 @@ class FlowSearchResult:
     is a cycle of the influencing digraph of the greedy's matching, completed.
     Unless the edge gate decided, a no-flow verdict also carries
     ``obstruction``, the vertices the greedy never processed, ascending;
-    ``verify_obstruction`` accepts it.
+    ``verify_obstruction`` accepts it.  Only ``flow_from_cover`` sets
+    ``cover``, to the cover it was given.
     """
 
     status: SearchStatus
@@ -160,12 +158,7 @@ def verify_flow(geom: Geometry, flow: CausalFlow) -> FlowCheck:
     n = g.vertex_count
     mapping = flow.successor.mapping
     measured = geom.measured
-    extra = sorted(set(mapping) - set(measured))
-    if extra:
-        raise FlowDomainError(f"f is defined on output vertex {extra[0]}")
-    missing = sorted(set(measured) - set(mapping))
-    if missing:
-        raise FlowDomainError(f"f is undefined on measured vertex {missing[0]}")
+    _check_domain(geom, mapping)
     for x in measured:
         fx = mapping[x]
         if not (isinstance(fx, int) and 0 <= fx < n):
@@ -186,6 +179,16 @@ def verify_flow(geom: Geometry, flow: CausalFlow) -> FlowCheck:
             if y != x and not ranks[x] < ranks[y]:
                 return FlowCheck(False, "neighborhood-order", (x, y))
     return FlowCheck(True)
+
+
+def _check_domain(geom: Geometry, mapping: dict[int, int]) -> None:
+    """Raise FlowDomainError unless f is defined on exactly the measured vertices."""
+    extra = sorted(set(mapping) - set(geom.measured))
+    if extra:
+        raise FlowDomainError(f"f is defined on output vertex {extra[0]}")
+    missing = sorted(set(geom.measured) - set(mapping))
+    if missing:
+        raise FlowDomainError(f"f is undefined on measured vertex {missing[0]}")
 
 
 def _influence_arcs(geom: Geometry, pairs: Iterable[tuple[int, int]]) -> Iterable[tuple[int, int]]:
@@ -379,18 +382,15 @@ def find_causal_flow(geom: Geometry) -> FlowSearchResult:
     otherwise "cyclic-D" with a cycle of the completed matching's
     influencing digraph.
     """
-    n = geom.vertex_count
     k = geom.output_count
-    if k >= 1 and geom.graph.edge_count > gamma(n, k):
+    if k >= 1 and geom.graph.edge_count > gamma(geom.vertex_count, k):
         return FlowSearchResult("no-flow", reason="edge-bound")
 
     succ, layer, unprocessed = _backward_greedy(geom)
     if not unprocessed:
         depth = max(layer, default=0)
         flow = CausalFlow(SuccessorFunction.from_pairs(succ.items()), tuple(depth - l for l in layer))
-        paths = _splice_orbits(n, succ)
-        assert paths is not None  # ranks rise along every orbit
-        return FlowSearchResult("found", flow=flow, cover=PathCover(paths))
+        return FlowSearchResult("found", flow=flow)
 
     obstruction = tuple(unprocessed)
     # With k = 0, k paths must cover n > 0 vertices; impossible with zero paths.
@@ -630,42 +630,29 @@ def _require_vertices(geom: Geometry, ids: list[int]) -> None:
 def load_flow(geom: Geometry, text: str) -> tuple[CausalFlow, PathCover]:
     """Parse a flow file against a geometry; the flow conditions are left to verify_flow.
 
-    Labels are resolved in bulk through the geometry's label index; they
-    are resolved one by one only to name the first that fails.  ``paths``
-    must be the orbits of f, in any order (see ``_check_orbits``).
+    Labels are resolved a list at a time by ``_resolve``, those of
+    ``successor`` in file order (key, value, key, ...); ``ranks`` checks
+    each label and its value in one pass.  ``paths`` must be the orbits
+    of f, in any order (see ``_check_orbits``).
     """
     data = load_json_object(text, FLOW_FILE_KEYS, FlowFormatError, "flow")
-    index = geom._label_index
-
-    def resolve(label: object, where: str) -> int:
-        if not isinstance(label, str):
-            raise FlowFormatError(f"{where}: expected a vertex label, got {label!r}")
-        try:
-            return geom.id_of(label)
-        except GeometryError as exc:
-            raise FlowFormatError(f"{where}: {exc}") from None
 
     successor = data["successor"]
     if not isinstance(successor, dict):
         raise FlowFormatError("'successor' must be an object")
-    try:
-        pairs = [(index[x], index[y]) for x, y in successor.items()]
-    except (KeyError, TypeError):
-        pairs = [(resolve(x, "successor"), resolve(y, "successor")) for x, y in successor.items()]
+    ends = iter(_resolve(geom, list(chain.from_iterable(successor.items())), "successor"))
+    pairs = zip(ends, ends)
 
     raw_ranks = data["ranks"]
     if not isinstance(raw_ranks, dict):
         raise FlowFormatError("'ranks' must be an object")
     values = list(raw_ranks.values())
-    try:
-        ids = [index[label] for label in raw_ranks]
-    except KeyError:
-        ids = None
-    if ids is None or not set(map(type, values)) <= {int} or min(values, default=0) < 0:
+    if not set(map(type, values)) <= {int} or min(values, default=0) < 0:
         for label, value in raw_ranks.items():
-            resolve(label, "ranks")
+            _resolve(geom, [label], "ranks")
             if isinstance(value, bool) or not isinstance(value, int) or value < 0:
                 raise FlowFormatError(f"ranks[{label!r}]: expected a non-negative integer")
+    ids = _resolve(geom, list(raw_ranks), "ranks")
     ranks = [0] * geom.vertex_count
     for v, value in zip(ids, values):
         ranks[v] = value
@@ -676,22 +663,27 @@ def load_flow(geom: Geometry, text: str) -> tuple[CausalFlow, PathCover]:
     raw_paths = data["paths"]
     if not isinstance(raw_paths, list):
         raise FlowFormatError("'paths' must be a list")
-    paths = None
-    if set(map(type, raw_paths)) <= {list}:
-        try:
-            paths = [tuple(map(index.__getitem__, raw)) for raw in raw_paths]
-        except (KeyError, TypeError):
-            pass
-    if paths is None:
-        paths = []
-        for pos, raw in enumerate(raw_paths):
-            if not isinstance(raw, list):
-                raise FlowFormatError(f"paths[{pos}]: expected a list of labels")
-            paths.append(tuple(resolve(label, f"paths[{pos}]") for label in raw))
+    paths = []
+    for pos, raw in enumerate(raw_paths):
+        if not isinstance(raw, list):
+            raise FlowFormatError(f"paths[{pos}]: expected a list of labels")
+        paths.append(tuple(_resolve(geom, raw, f"paths[{pos}]")))
 
     flow = CausalFlow(SuccessorFunction.from_pairs(pairs), tuple(ranks))
     _check_orbits(geom, flow.successor.mapping, paths)
     return flow, PathCover(tuple(paths))
+
+
+def _resolve(geom: Geometry, labels: list[object], where: str) -> list[int]:
+    """The ids of ``labels``, mapped in bulk; FlowFormatError at ``where`` names the first bad one."""
+    index = geom._label_index
+    try:
+        return list(map(index.__getitem__, labels))
+    except (KeyError, TypeError):
+        bad = next(label for label in labels if not isinstance(label, str) or label not in index)
+    if isinstance(bad, str):
+        raise FlowFormatError(f"{where}: unknown vertex label {bad!r}")
+    raise FlowFormatError(f"{where}: expected a vertex label, got {bad!r}")
 
 
 def _check_orbits(geom: Geometry, mapping: dict[int, int], paths: list[tuple[int, ...]]) -> None:

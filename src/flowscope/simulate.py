@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from flowscope.flow import CausalFlow
+from flowscope.flow import CausalFlow, _check_domain
 from flowscope.geometry import Geometry
 
 if TYPE_CHECKING:
@@ -147,8 +147,8 @@ def measurement_order(flow: CausalFlow) -> list[int]:
     Depends only on the flow; any topological order of the influencing
     digraph restricted to the measured vertices would do.
     """
-    # sources() ascend and sorting is stable, so equal ranks keep id order.
-    return sorted(flow.successor.sources(), key=flow.order_rank.__getitem__)
+    # f's keys ascend and sorting is stable, so equal ranks keep id order.
+    return sorted(flow.successor.mapping, key=flow.order_rank.__getitem__)
 
 
 def draw_angles(vertices: Sequence[int], rng: np.random.Generator) -> dict[int, float]:
@@ -157,20 +157,14 @@ def draw_angles(vertices: Sequence[int], rng: np.random.Generator) -> dict[int, 
     return dict(zip(ordered, rng.uniform(0.0, 2.0 * math.pi, len(ordered))))
 
 
-def simulate_postselected(
-    pattern: MeasurementPattern,
-    *,
-    schedule: Sequence[int] | None = None,
-    max_qubits: int = DEFAULT_QUBIT_BOUND,
-) -> LinearMap:
+def simulate_postselected(pattern: MeasurementPattern, *, max_qubits: int = DEFAULT_QUBIT_BOUND) -> LinearMap:
     """Post-selected statevector simulation of a measurement pattern.
 
     Simulates all input basis states at once: column c of the result is
-    the surviving state for input basis ket c.  Measured qubits are
-    projected and dropped immediately, so the live register only shrinks.
-    ``schedule`` overrides the flow-derived measurement order; it must
-    visit each measured vertex exactly once but is otherwise unchecked,
-    which lets tests drive deliberately invalid orders.
+    the surviving state for input basis ket c.  Qubits are measured in
+    ``measurement_order(pattern.flow)``, projected and dropped at once, so
+    the live register only shrinks.  Of the flow conditions only f's
+    domain is checked (FlowDomainError), so ranks can drive any order.
     """
     import numpy as np
 
@@ -178,10 +172,8 @@ def simulate_postselected(
     n = geom.vertex_count
     if n > max_qubits:
         raise SimulationBoundError(f"instance has {n} qubits; simulation bound is {max_qubits}")
-    measured = list(geom.measured)
-    order = list(schedule) if schedule is not None else measurement_order(pattern.flow)
-    if sorted(order) != measured:
-        raise ValueError("schedule must visit each measured vertex exactly once")
+    _check_domain(geom, pattern.flow.successor.mapping)
+    order = measurement_order(pattern.flow)
 
     inputs = sorted(geom.inputs)
     live = [q for q in range(n) if q not in geom.inputs]

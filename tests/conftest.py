@@ -139,3 +139,19 @@ def check_cover(geom: Geometry, cover: PathCover) -> None:
             raise ValueError(f"path ending at {path[-1]} does not end in an output")
     if len(seen) != geom.vertex_count:
         raise ValueError("cover does not visit every vertex")
+
+
+def orbit_cover(geom: Geometry, flow) -> PathCover:
+    """The orbits of a flow's f, laid out by ``_splice_orbits`` as ``dump_flow`` writes them."""
+    paths = _splice_orbits(geom.vertex_count, flow.successor.mapping)
+    assert paths is not None, "f is not injective or has a cyclic orbit"
+    return PathCover(paths)
+
+
+def relabel(geom: Geometry, perm: list[int]) -> Geometry:
+    """``geom`` with each vertex v renamed ``perm[v]``."""
+    return Geometry(
+        Graph.from_edges(geom.vertex_count, [(perm[u], perm[v]) for u, v in geom.graph.edges()]),
+        frozenset(perm[v] for v in geom.inputs),
+        frozenset(perm[v] for v in geom.outputs),
+    )

@@ -10,21 +10,17 @@ not, sums the two halves of its qubit's rows.  The defect forms the full
 from __future__ import annotations
 
 import math
-from typing import Sequence
-
 import numpy as np
 
 from flowscope import MeasurementPattern, ZeroMapError, measurement_order
 
 
-def dense_simulate(
-    pattern: MeasurementPattern, schedule: Sequence[int] | None = None
-) -> tuple[np.ndarray, tuple[int, ...], tuple[int, ...]]:
+def dense_simulate(pattern: MeasurementPattern) -> tuple[np.ndarray, tuple[int, ...], tuple[int, ...]]:
     """The dense map with its output and input qubits, as ``simulate_postselected`` once built it."""
     geom = pattern.geometry
     n = geom.vertex_count
     inputs = sorted(geom.inputs)
-    order = list(schedule) if schedule is not None else measurement_order(pattern.flow)
+    order = measurement_order(pattern.flow)
 
     n_in = len(inputs)
     cols = 1 << n_in

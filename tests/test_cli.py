@@ -128,10 +128,11 @@ class TestFindFlow:
         assert "depth: 11" in out
 
     def test_budget_option_removed(self, capsys, path_file):
-        with pytest.raises(SystemExit) as exc:
-            main(["find-flow", path_file, "--budget", "0"])
-        assert exc.value.code == 2
-        capsys.readouterr()
+        # A usage error still ends with a verdict line, like every input error.
+        code, out, err = run_cli(capsys, "find-flow", path_file, "--budget", "0")
+        assert code == 2
+        assert out == "VERDICT: error reason=input\n"
+        assert "unrecognized arguments: --budget 0" in err
 
     def test_six_cycle_names_obstruction(self, capsys, six_cycle_file):
         code, out, _ = run_cli(capsys, "find-flow", six_cycle_file)
@@ -453,6 +454,73 @@ class TestSimulateAndOrder:
         code, out, _ = run_cli(capsys, "order", path_file, str(flow_file))
         assert code == 0
         assert "order: v1 v2" in out
+
+
+class TestInputErrorBranches:
+    """Input errors of the CLI, each with its exact message and exit code 2."""
+
+    @pytest.fixture
+    def flow_file(self, capsys, tmp_path, path_file):
+        flow_file = tmp_path / "f.json"
+        run_cli(capsys, "find-flow", path_file, "--out", str(flow_file))
+        return str(flow_file)
+
+    def test_oracle_bound_must_be_an_integer(self, capsys, monkeypatch, path_file):
+        monkeypatch.setenv("FLOWSCOPE_ORACLE_BOUND", "abc")
+        code, out, err = run_cli(capsys, "find-flow", path_file, "--oracle")
+        assert (code, out) == (2, "VERDICT: error reason=input\n")
+        assert err == "error: FLOWSCOPE_ORACLE_BOUND must be an integer, got 'abc'\n"
+
+    @pytest.mark.parametrize(
+        "angles, message",
+        [
+            ("v1=0.1,v2", "bad angle 'v2': expected label=radians"),
+            ("v1=0.1,v2=abc", "bad angle value in 'v2=abc'"),
+        ],
+    )
+    def test_bad_angle_items(self, capsys, path_file, flow_file, angles, message):
+        code, out, err = run_cli(capsys, "simulate", path_file, flow_file, "--angles", angles)
+        assert (code, out, err) == (2, "VERDICT: error reason=input\n", f"error: {message}\n")
+
+    def test_empty_angle_items_are_skipped(self, capsys, path_file, flow_file):
+        plain = run_cli(capsys, "simulate", path_file, flow_file, "--angles", "v1=0.1,v2=0.2")
+        assert plain[0] == 0
+        assert run_cli(capsys, "simulate", path_file, flow_file, "--angles", ",v1=0.1,, ,v2=0.2,") == plain
+
+    def test_simulate_needs_angles(self, capsys, path_file, flow_file):
+        code, out, err = run_cli(capsys, "simulate", path_file, flow_file)
+        assert (code, out, err) == (2, "VERDICT: error reason=input\n", "error: need --angles or --random-angles\n")
+
+    @pytest.mark.parametrize("key", ["successor", "ranks"])
+    def test_flow_file_fields_must_be_objects(self, capsys, tmp_path, path_file, flow_file, key):
+        data = json.loads(Path(flow_file).read_text())
+        data[key] = [["v1", "v2"]]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "verify-flow", path_file, str(bad))
+        assert (code, out, err) == (2, "VERDICT: error reason=input\n", f"error: '{key}' must be an object\n")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ([], "the following arguments are required: command"),
+            (["find-flow"], "the following arguments are required: geometry"),
+            (["no-such-command"], "invalid choice: 'no-such-command'"),
+        ],
+    )
+    def test_usage_errors_end_with_a_verdict(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "VERDICT: error reason=input\n")
+        assert err.startswith("usage: flowscope")
+        assert message in err
+
+    def test_help_exits_0_without_a_verdict(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: flowscope")
+        assert not any(line.startswith("VERDICT:") for line in out.splitlines())
 
 
 def _lines(*lines: str) -> str:

@@ -15,19 +15,22 @@ from flowscope import (
     brute_force_flow,
     classify_arcs,
     count_connecting_edges,
+    dump_flow,
     find_causal_flow,
     flow_from_cover,
     gamma,
     generate_extremal,
     lambda_labels,
     lex_acyclicity_certificate,
+    load_geometry,
     observation_checks,
+    serialize_geometry,
     verify_flow,
 )
 
 from flowscope.flow import DEFAULT_ORACLE_BOUND
 
-from .conftest import check_cover
+from .conftest import check_cover, relabel
 from .digraph_reference import influence_arcs, influence_order
 
 
@@ -70,6 +73,10 @@ class TestExtremalPartition:
     def test_unsorted_rejected(self):
         with pytest.raises(ValueError, match="non-decreasing"):
             ExtremalPartition((3, 2))
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="^partition must have at least one part$"):
+            ExtremalPartition(())
 
     def test_non_positive_rejected(self):
         with pytest.raises(ValueError, match="positive"):
@@ -286,6 +293,44 @@ class TestObservationChecks:
         assert verdicts == {False, True}
 
 
+def shuffled(geom: Geometry, cover: PathCover, rng: random.Random) -> tuple[Geometry, PathCover]:
+    """``geom`` and ``cover`` with the vertex ids permuted at random, so ids no longer ascend along paths."""
+    perm = rng.sample(range(geom.vertex_count), geom.vertex_count)
+    return relabel(geom, perm), PathCover(tuple(tuple(perm[v] for v in path) for path in cover.paths))
+
+
+class TestShuffledIds:
+    """The certificates read positions on paths, not ids, so shuffling the ids changes no answer."""
+
+    @pytest.mark.parametrize("parts", [(2, 2), (1, 3), (2, 3, 3), (6, 8, 9), (3, 4, 4, 5)])
+    def test_extremal_answers_unchanged(self, parts):
+        rng = random.Random(sum(parts))
+        geom, cover = generate_extremal(ExtremalPartition(parts))
+        pairs = [(i, j) for i in range(1, len(parts) + 1) for j in range(i + 1, len(parts) + 1)]
+        for _ in range(5):
+            moved, moved_cover = shuffled(geom, cover, rng)
+            assert observation_checks(moved, moved_cover)
+            for i, j in pairs:
+                assert lambda_labels(moved, moved_cover, i, j) == lambda_labels(geom, cover, i, j)
+
+    def test_crossing_verdicts_unchanged(self):
+        # The two-path sample of the crossing test above, ids shuffled.
+        rng = random.Random(21)
+        positions = [(a, b) for a in range(1, 5) for b in range(1, 5)]
+        path_edges = [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)]
+        cover = PathCover(((0, 1, 2, 3), (4, 5, 6, 7)))
+        verdicts = set()
+        for _ in range(500):
+            edges = path_edges + [(a - 1, b + 3) for a, b in rng.sample(positions, rng.randint(0, 6))]
+            geom = Geometry(Graph.from_edges(8, edges), frozenset({0, 4}), frozenset({3, 7}))
+            moved, moved_cover = shuffled(geom, cover, rng)
+            verdict = observation_checks(geom, cover)
+            assert observation_checks(moved, moved_cover) == verdict
+            assert lambda_labels(moved, moved_cover, 1, 2) == lambda_labels(geom, cover, 1, 2)
+            verdicts.add(verdict)
+        assert verdicts == {False, True}
+
+
 class TestLambdaLabels:
     def test_two_two(self):
         geom, cover = generate_extremal(ExtremalPartition((2, 2)))
@@ -333,6 +378,25 @@ def test_greedy_returns_the_unique_flow():
         geom, cover = generate_extremal(partition)
         assert len(geom.inputs) == len(geom.outputs) == partition.k
         assert find_causal_flow(geom).flow.successor.pairs == tuple(sorted(cover.successor_pairs())), partition
+
+
+def test_extremal_cover_is_written_in_orbit_order():
+    """``dump_flow`` writes an extremal cover as it writes the orbits of f, so the cover adds nothing.
+
+    Both orders put the paths by ascending start id, on the generated
+    geometry and, with at most nine paths, on the loaded one, whose ids
+    follow label order.  The relabelled grid in ``test_file_formats.py``
+    is a case where the two differ.
+    """
+    rng = random.Random(20071019)
+    for _ in range(12):
+        geom, cover = generate_extremal(random_partition(rng, 5000))
+        loaded = load_geometry(serialize_geometry(geom))
+        ids = [loaded.id_of(label) for label in geom.labels]
+        loaded_cover = PathCover(tuple(tuple(ids[v] for v in path) for path in cover.paths))
+        for g, c in ((geom, cover), (loaded, loaded_cover)):
+            flow = flow_from_cover(g, c).flow
+            assert dump_flow(g, flow, c) == dump_flow(g, flow)
 
 
 @pytest.mark.parametrize("n", range(1, DEFAULT_ORACLE_BOUND + 1))

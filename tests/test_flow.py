@@ -15,6 +15,7 @@ from flowscope import (
     FlowDomainError,
     FlowFormatError,
     Geometry,
+    GeometryError,
     Graph,
     OracleBoundError,
     PathCover,
@@ -36,6 +37,7 @@ from .conftest import (
     first_path_cover,
     geometries,
     no_flow_reason_fault,
+    orbit_cover,
     path_geometry,
     saturating_assignments,
 )
@@ -188,6 +190,12 @@ class TestVerifyFlow:
         geom = path_geometry(3)
         flow = CausalFlow(SuccessorFunction.from_pairs([(0, 1)]), (0, 1, 2))
         with pytest.raises(FlowDomainError, match="undefined"):
+            verify_flow(geom, flow)
+
+    def test_short_rank_map_raises(self):
+        geom = path_geometry(3)
+        flow = CausalFlow(SuccessorFunction.from_pairs([(0, 1), (1, 2)]), (0, 1))
+        with pytest.raises(FlowDomainError, match="^rank map must assign a rank to every vertex$"):
             verify_flow(geom, flow)
 
     def test_image_in_inputs_raises(self):
@@ -356,13 +364,13 @@ class TestImplicitInfluencingDigraph:
 class TestPathCover:
     def test_path_graph_cover(self):
         geom = path_geometry(3)
-        cover = find_causal_flow(geom).cover
+        cover = orbit_cover(geom, find_causal_flow(geom).flow)
         assert cover.paths == ((0, 1, 2),)
 
     def test_everything_is_output(self):
         g = Graph.from_edges(3, [(0, 1), (1, 2)])
         geom = Geometry(g, frozenset({0, 1, 2}), frozenset({0, 1, 2}))
-        cover = find_causal_flow(geom).cover
+        cover = orbit_cover(geom, find_causal_flow(geom).flow)
         assert cover.paths == ((0,), (1,), (2,))
 
     def test_six_cycle_has_cover(self, six_cycle):
@@ -435,7 +443,7 @@ class TestFindCausalFlow:
         res = find_causal_flow(path_geometry(4))
         assert res.status == "found"
         assert verify_flow(path_geometry(4), res.flow).ok
-        check_cover(path_geometry(4), res.cover)
+        check_cover(path_geometry(4), orbit_cover(path_geometry(4), res.flow))
 
     def test_no_cover_reason(self):
         # output-less vertex whose only neighbour is an input
@@ -463,7 +471,7 @@ class TestFindCausalFlow:
         res = find_causal_flow(geom)
         assert res.status == "found"
         assert verify_flow(geom, res.flow).ok
-        assert res.cover.paths == (tuple(range(12)),)
+        assert orbit_cover(geom, res.flow).paths == (tuple(range(12)),)
 
     def test_budget_zero_still_decides_small_instances(self, six_cycle):
         # The decision spends no search budget: even the smallest hard
@@ -492,7 +500,7 @@ class TestFindCausalFlow:
 
     def test_flow_from_cover_matches_search(self):
         geom = path_geometry(5)
-        cover = find_causal_flow(geom).cover
+        cover = orbit_cover(geom, find_causal_flow(geom).flow)
         res = flow_from_cover(geom, cover)
         assert res.status == "found"
         assert verify_flow(geom, res.flow).ok
@@ -632,11 +640,10 @@ class TestBruteForceOracle:
         if oracle is not None:
             assert verify_flow(geom, oracle).ok
             # orbits of any produced flow must lay out as a valid cover
-            paths = _splice_orbits(geom.vertex_count, oracle.successor.mapping)
-            check_cover(geom, PathCover(paths))
+            check_cover(geom, orbit_cover(geom, oracle))
         if res.status == "found":
             assert verify_flow(geom, res.flow).ok
-            check_cover(geom, res.cover)
+            check_cover(geom, orbit_cover(geom, res.flow))
         elif res.reason != "edge-bound":
             assert verify_obstruction(geom, res.obstruction)
 
@@ -671,11 +678,17 @@ class TestFlowSerialization:
     def test_round_trip(self):
         geom = path_geometry(4)
         res = find_causal_flow(geom)
-        text = dump_flow(geom, res.flow, res.cover)
+        text = dump_flow(geom, res.flow)
         flow, cover = load_flow(geom, text)
         assert flow == res.flow
-        assert cover == res.cover
+        assert cover == orbit_cover(geom, res.flow)
         assert dump_flow(geom, flow, cover) == text
+
+    def test_non_integer_id_rejected(self):
+        geom = path_geometry(3)
+        flow = CausalFlow(SuccessorFunction.from_pairs([(0, "1"), (1, 2)]), (0, 1, 2))
+        with pytest.raises(GeometryError, match="^unknown vertex '1'$"):
+            dump_flow(geom, flow)
 
     def test_unknown_label_rejected(self):
         geom = path_geometry(2)
@@ -698,7 +711,8 @@ def test_found_flows_reconstruct_as_covers(geom):
     res = find_causal_flow(geom)
     if res.status != "found":
         return
-    mapping = res.flow.successor.mapping
-    # orbits of f are exactly the cover paths
-    assert dict(res.cover.successor_pairs()) == mapping
-    check_cover(geom, res.cover)
+    # the search lays out no cover; the orbits of f form one
+    assert res.cover is None
+    cover = orbit_cover(geom, res.flow)
+    assert dict(cover.successor_pairs()) == res.flow.successor.mapping
+    check_cover(geom, cover)

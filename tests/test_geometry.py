@@ -102,6 +102,10 @@ class TestGraph:
         with pytest.raises(GeometryError, match="unknown vertex"):
             Graph.from_edges(2, [(0, 7)])
 
+    def test_negative_vertex_count_rejected(self):
+        with pytest.raises(GeometryError, match="^vertex count must be non-negative$"):
+            Graph.from_edges(-1)
+
     def test_edges_iteration_sorted(self):
         g = Graph.from_edges(4, [(2, 3), (0, 2), (0, 1)])
         assert list(g.edges()) == [(0, 1), (0, 2), (2, 3)]

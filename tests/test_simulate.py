@@ -13,6 +13,7 @@ import pytest
 from flowscope import (
     CausalFlow,
     ExtremalPartition,
+    FlowDomainError,
     Geometry,
     Graph,
     LinearMap,
@@ -73,11 +74,13 @@ class TestMeasurementOrder:
         rng = random.Random(7011)
         checked = 0
         while checked < 300:
-            res = find_causal_flow(random_geometry(rng, rng.randint(2, 40)))
+            geom = random_geometry(rng, rng.randint(2, 40))
+            res = find_causal_flow(geom)
             if res.status != "found":
                 continue
             ranks = res.flow.order_rank
-            expected = sorted(res.flow.successor.sources(), key=lambda v: (ranks[v], v))
+            # A found flow is defined on exactly the measured vertices.
+            expected = sorted(geom.measured, key=lambda v: (ranks[v], v))
             assert measurement_order(res.flow) == expected
             checked += 1
 
@@ -139,11 +142,17 @@ class TestSimulatePostselected:
             MeasurementPattern(geom, flow, {0: theta, 1: 0.2})
 
     def test_schedule_must_cover_measured(self):
+        # The measurement order is f's domain by rank, so f must be defined
+        # on exactly the measured vertices, as verify_flow requires.
         geom = path_geometry(3)
-        flow = find_causal_flow(geom).flow
-        pattern = MeasurementPattern(geom, flow, {0: 0.1, 1: 0.2})
-        with pytest.raises(ValueError, match="schedule"):
-            simulate_postselected(pattern, schedule=[0])
+        for pairs, message in [
+            ([(0, 1)], "f is undefined on measured vertex 1"),
+            ([(0, 1), (1, 2), (2, 1)], "f is defined on output vertex 2"),
+        ]:
+            flow = CausalFlow(SuccessorFunction.from_pairs(pairs), (0, 1, 2))
+            pattern = MeasurementPattern(geom, flow, {0: 0.1, 1: 0.2})
+            with pytest.raises(FlowDomainError, match=f"^{message}$"):
+                simulate_postselected(pattern)
 
     @pytest.mark.parametrize("parts", [(2, 2), (1, 3), (2, 2, 2), (4,)])
     def test_random_angles_give_isometries(self, parts):
@@ -163,20 +172,24 @@ class TestSimulatePostselected:
         angles = draw_angles(geom.measured, rng)
         pattern = MeasurementPattern(geom, res.flow, angles)
         base = simulate_postselected(pattern)
-        swapped = simulate_postselected(pattern, schedule=list(reversed(measurement_order(res.flow))))
+        backwards = list(reversed(measurement_order(res.flow)))
+        reversed_flow = flow_measuring_in(res.flow, backwards)
+        assert measurement_order(reversed_flow) == backwards != measurement_order(res.flow)
+        swapped = simulate_postselected(MeasurementPattern(geom, reversed_flow, angles))
         assert proportional(base.matrix, swapped.matrix)
 
     def test_six_cycle_forced_flow_breaks_isometry(self, six_cycle):
         # regression: without a causal flow the surviving branch is not an
         # isometry, no matter what order the measurements happen in
         fake = forced_six_cycle_flow()
+        assert measurement_order(fake) == [0, 1, 2]
         rng = np.random.default_rng(7)
         worst = 0.0
         saw_zero = False
         for _ in range(20):
             angles = draw_angles(six_cycle.measured, rng)
             pattern = MeasurementPattern(six_cycle, fake, angles)
-            v = simulate_postselected(pattern, schedule=[0, 1, 2])
+            v = simulate_postselected(pattern)
             try:
                 worst = max(worst, isometry_defect(v))
             except ZeroMapError:
@@ -203,6 +216,12 @@ class TestIsometryDefect:
         with pytest.raises(ValueError, match="shape"):
             LinearMap(np.zeros((3, 2), dtype=complex), (0,), (1,))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, -math.inf)])
+    def test_non_finite_entries_rejected(self, bad):
+        amps = np.array([[1.0, 0.0], [0.0, bad]], dtype=complex)
+        with pytest.raises(ValueError, match="^map contains non-finite entries$"):
+            LinearMap(amps, (0,), (1,))
+
     def test_passthrough_must_be_input_and_output(self):
         with pytest.raises(ValueError, match="pass-through"):
             LinearMap(np.ones((1, 2), dtype=complex), (0,), (1,), (1,))
@@ -218,10 +237,18 @@ class TestIsometryDefect:
         assert isometry_defect(v) == pytest.approx(dense_defect(expected), abs=1e-12)
 
 
-def assert_matches_dense_reference(geom, flow, rng, schedule=None) -> None:
+def flow_measuring_in(flow: CausalFlow, order: list[int]) -> CausalFlow:
+    """``flow``'s f with ranks that make ``measurement_order`` return ``order``."""
+    ranks = [len(order)] * len(flow.order_rank)
+    for rank, v in enumerate(order):
+        ranks[v] = rank
+    return CausalFlow(flow.successor, tuple(ranks))
+
+
+def assert_matches_dense_reference(geom, flow, rng) -> None:
     pattern = MeasurementPattern(geom, flow, draw_angles(geom.measured, rng))
-    vmap = simulate_postselected(pattern, schedule=schedule)
-    matrix, outputs, inputs = dense_simulate(pattern, schedule)
+    vmap = simulate_postselected(pattern)
+    matrix, outputs, inputs = dense_simulate(pattern)
     assert (vmap.output_qubits, vmap.input_qubits) == (outputs, inputs)
     assert vmap.matrix.shape == matrix.shape
     assert np.max(np.abs(vmap.matrix - matrix)) < 1e-12
@@ -258,7 +285,9 @@ class TestAgainstDenseReference:
     def test_forced_six_cycle_flow_under_every_schedule(self, six_cycle):
         rng = np.random.default_rng(13)
         for schedule in permutations([0, 1, 2]):
-            assert_matches_dense_reference(six_cycle, forced_six_cycle_flow(), rng, list(schedule))
+            flow = flow_measuring_in(forced_six_cycle_flow(), list(schedule))
+            assert measurement_order(flow) == list(schedule)
+            assert_matches_dense_reference(six_cycle, flow, rng)
 
 
 def test_all_ones_n12_stays_compact():
