@@ -47,7 +47,8 @@ def geometry_data(draw) -> dict:
 def mutate(draw, data: dict, kind: str) -> None:
     """Apply one fault of ``kind`` to ``data`` in place, where the file has room for it."""
     vertices, edges = data.get("vertices"), data.get("edges")
-    # Faults that replace or remove a key come last, so only they may find a key gone or not a list.
+    # Faults that replace or remove a key come last, so only they may find a key gone or not a list;
+    # "bad-pair" comes after the other edge faults, so only it may find an edge that is not a pair.
     index = st.integers(0, max(len(vertices) - 1, 0)) if isinstance(vertices, list) else None
     if kind == "drop-label" and vertices:
         del vertices[draw(index)]
@@ -58,13 +59,13 @@ def mutate(draw, data: dict, kind: str) -> None:
     elif kind == "unknown-edge-label" and edges:
         pair = edges[draw(st.integers(0, len(edges) - 1))]
         pair[draw(st.integers(0, 1))] = draw(st.one_of(NOT_LABELS, st.just("zz")))
-    elif kind == "bad-pair" and edges:
-        pos = draw(st.integers(0, len(edges) - 1))
-        edges[pos] = draw(st.sampled_from([edges[pos] + edges[pos][:1], edges[pos][:1], "ab", None]))
     elif kind == "self-loop" and vertices:
         edges.insert(draw(st.integers(0, len(edges))), [vertices[draw(index)]] * 2)
     elif kind == "duplicate-edge" and edges:
         edges.insert(draw(st.integers(0, len(edges))), edges[draw(st.integers(0, len(edges) - 1))][::-1])
+    elif kind == "bad-pair" and edges:
+        pos = draw(st.integers(0, len(edges) - 1))
+        edges[pos] = draw(st.sampled_from([edges[pos] + edges[pos][:1], edges[pos][:1], "ab", None]))
     elif kind == "duplicate-input":
         key = draw(st.sampled_from(["inputs", "outputs"]))
         items = data[key]
@@ -88,8 +89,8 @@ TEXT_FAULTS = {
     "not-an-object": lambda text: "[" + text + "]",
 }
 DATA_FAULTS = [
-    "drop-label", "duplicate-label", "bad-label", "unknown-edge-label", "bad-pair", "self-loop",
-    "duplicate-edge", "duplicate-input", "unknown-input", "not-a-list", "missing-key", "unknown-key",
+    "drop-label", "duplicate-label", "bad-label", "unknown-edge-label", "self-loop", "duplicate-edge",
+    "bad-pair", "duplicate-input", "unknown-input", "not-a-list", "missing-key", "unknown-key",
 ]  # in the order they are applied: the last three replace or remove a key
 
 
