@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Literal
+from typing import Iterable, Literal, Sequence
 
 from flowscope.geometry import (
     Geometry,
@@ -480,7 +480,7 @@ def verify_obstruction(geom: Geometry, obstruction: Iterable[int]) -> bool:
     n = geom.vertex_count
     inside = [False] * n
     for v in obstruction:
-        if not 0 <= v < n or v in geom.outputs:
+        if not (isinstance(v, int) and 0 <= v < n) or v in geom.outputs:
             return False
         inside[v] = True
     if not any(inside):
@@ -587,14 +587,21 @@ def dump_flow(geom: Geometry, flow: CausalFlow, cover: PathCover | None = None) 
     ``successor`` and ``ranks`` list vertices in label order; ``paths``
     follows the cover, by default the orbits of f.  The layout is
     ``json.dumps(payload, indent=2)`` plus a final newline, with ASCII
-    escapes.  An id of f that is not a vertex raises GeometryError, and
-    an f that is not injective or has a cyclic orbit raises ValueError.
-    A cover that ``load_flow`` would reject, one whose paths are not the
-    orbits of f, raises the same FlowFormatError.
+    escapes.  An id of f or of the cover that is not a vertex raises
+    GeometryError, and an f that is not injective or has a cyclic orbit
+    raises ValueError.  What ``load_flow`` would reject in the written
+    file, a missing or bad rank or paths that are not the orbits of f,
+    raises the same FlowFormatError.
     """
     n = geom.vertex_count
     mapping = flow.successor.mapping
     _require_vertices(geom, [*mapping, *mapping.values()])
+    ranks = flow.order_rank
+    if len(ranks) < n:
+        raise FlowFormatError(f"missing rank for vertex {geom.label_of(len(ranks))!r}")
+    bad = _first_bad_rank(ranks[:n])
+    if bad is not None:
+        raise FlowFormatError(f"ranks[{geom.label_of(bad)!r}]: expected a non-negative integer")
     if cover is None:
         paths = _splice_orbits(n, mapping)
         if paths is None:
@@ -606,7 +613,6 @@ def dump_flow(geom: Geometry, flow: CausalFlow, cover: PathCover | None = None) 
     names = geom._names
     esc = list(map(encode_basestring_ascii, names))
     order = sorted(range(n), key=names.__getitem__)
-    ranks = flow.order_rank
     fields = (
         ("successor", json_block([f"{esc[x]}: {esc[mapping[x]]}" for x in order if x in mapping], 1, "{}")),
         ("ranks", json_block([f"{esc[v]}: {ranks[v]}" for v in order], 1, "{}")),
@@ -616,14 +622,25 @@ def dump_flow(geom: Geometry, flow: CausalFlow, cover: PathCover | None = None) 
 
 
 def _require_vertices(geom: Geometry, ids: list[int]) -> None:
-    """Raise GeometryError unless every entry of ``ids`` is a vertex of ``geom``."""
+    """Raise GeometryError unless every entry of ``ids`` is a vertex of ``geom``.
+
+    A sum of ints is an int, and a float or any other number makes it
+    another type or raises, so the bulk test checks the types in one pass.
+    """
     try:
-        if not ids or (min(ids) >= 0 and max(ids) < geom.vertex_count):
+        if not ids or (type(sum(ids)) is int and min(ids) >= 0 and max(ids) < geom.vertex_count):
             return
     except TypeError:
         pass
     for v in ids:
         geom.label_of(v)
+
+
+def _first_bad_rank(values: Sequence[object]) -> int | None:
+    """Position of the first value that is not a non-negative int, or None; a bool is not a rank."""
+    if set(map(type, values)) <= {int} and min(values, default=0) >= 0:
+        return None
+    return next(pos for pos, value in enumerate(values) if type(value) is not int or value < 0)
 
 
 @_gc_paused
@@ -646,13 +663,13 @@ def load_flow(geom: Geometry, text: str) -> tuple[CausalFlow, PathCover]:
     raw_ranks = data["ranks"]
     if not isinstance(raw_ranks, dict):
         raise FlowFormatError("'ranks' must be an object")
-    values = list(raw_ranks.values())
-    if not set(map(type, values)) <= {int} or min(values, default=0) < 0:
-        for label, value in raw_ranks.items():
-            _resolve(geom, [label], "ranks")
-            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-                raise FlowFormatError(f"ranks[{label!r}]: expected a non-negative integer")
-    ids = _resolve(geom, list(raw_ranks), "ranks")
+    labels, values = list(raw_ranks), list(raw_ranks.values())
+    bad = _first_bad_rank(values)
+    if bad is not None:
+        # A bad label before the bad value, or beside it, is named first.
+        _resolve(geom, labels[: bad + 1], "ranks")
+        raise FlowFormatError(f"ranks[{labels[bad]!r}]: expected a non-negative integer")
+    ids = _resolve(geom, labels, "ranks")
     ranks = [0] * geom.vertex_count
     for v, value in zip(ids, values):
         ranks[v] = value

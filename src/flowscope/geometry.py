@@ -58,12 +58,14 @@ def _gc_paused(func):
         try:
             return func(*args, **kwargs)
         finally:
-            gc.enable()
             # The young-generation pass that the next allocation would start
             # runs here instead, so the call, not its successor, pays for it.
-            # A threshold of 0 turns automatic collection off.
-            threshold = gc.get_threshold()[0]
-            if threshold and gc.get_count()[0] > threshold:
+            # A threshold of 0 turns automatic collection off.  Both numbers
+            # are read while the collector is off, since the tuples that
+            # report them are allocations that could start that pass.
+            young, threshold = gc.get_count()[0], gc.get_threshold()[0]
+            gc.enable()
+            if threshold and young > threshold:
                 gc.collect(0)
 
     return call
@@ -161,8 +163,8 @@ def _raise_first_bad_edge(n: int, ends: list[int]) -> None:
     seen: set[tuple[int, int]] = set()
     pairs = iter(ends)
     for pos, (u, v) in enumerate(zip(pairs, pairs)):
-        if not (0 <= u < n and 0 <= v < n):
-            raise EdgeError(f"edge ({u}, {v}) references an unknown vertex", pos, "unknown-vertex")
+        if not (isinstance(u, int) and isinstance(v, int) and 0 <= u < n and 0 <= v < n):
+            raise EdgeError(f"edge ({u!r}, {v!r}) references an unknown vertex", pos, "unknown-vertex")
         if u == v:
             raise EdgeError(f"self-loop at vertex {u}", pos, "self-loop")
         key = (u, v) if u < v else (v, u)
@@ -220,7 +222,7 @@ class Geometry:
 
     def label_of(self, v: int) -> str:
         self.graph._check_vertex(v)
-        return self.labels[v] if self.labels is not None else str(v)
+        return self._names[v]
 
     @cached_property
     def _names(self) -> tuple[str, ...]:

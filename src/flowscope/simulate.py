@@ -1,4 +1,4 @@
-"""Post-selected statevector check that a flow schedule implements an isometry.
+"""Post-selected statevector check that a flow implements an isometry.
 
 Input qubits start in an arbitrary basis state, all others in the plus
 state; a controlled-Z acts across every edge; measured qubits are then
@@ -13,14 +13,16 @@ a qubit of the register: its bit is part of the column index.  The state
 has one row per basis state of the non-input qubits and one column per
 input ket, 2^n amplitudes in all.  Controlled-Z is diagonal, so every
 edge's sign is set at once by one parity over the row and column bits.
-Measuring an input multiplies the columns where its bit is 1 by a phase;
-measuring any other qubit adds its two halves of the rows.  An input
-that is also an output passes through untouched, so the map is block
-diagonal over the bits of these *pass-through* inputs U: `LinearMap`
-keeps only the compact amplitudes, builds the dense matrix on request,
-and `isometry_defect` forms one Gram block per assignment of U.  A draw
-costs 2^n amplitudes for the state plus 2^|U| * 2^|O-U| * 4^|I-U| for
-the Gram blocks.
+Once every CZ has acted, the projections act on distinct qubits and
+commute, so no measurement order enters the map: measuring an input is a
+phase on the columns where its bit is 1, and the measured non-input
+qubits are summed out together, one signed sum over their row bits.  An
+input that is also an output passes through untouched, so the map is
+block diagonal over the bits of these *pass-through* inputs U:
+`LinearMap` keeps only the compact amplitudes, builds the dense matrix on
+request, and `isometry_defect` forms one Gram block per assignment of U.
+A draw costs 2^n amplitudes for the state plus 2^|U| * 2^|O-U| * 4^|I-U|
+for the Gram blocks.
 """
 
 from __future__ import annotations
@@ -161,10 +163,11 @@ def simulate_postselected(pattern: MeasurementPattern, *, max_qubits: int = DEFA
     """Post-selected statevector simulation of a measurement pattern.
 
     Simulates all input basis states at once: column c of the result is
-    the surviving state for input basis ket c.  Qubits are measured in
-    ``measurement_order(pattern.flow)``, projected and dropped at once, so
-    the live register only shrinks.  Of the flow conditions only f's
-    domain is checked (FlowDomainError), so ranks can drive any order.
+    the surviving state for input basis ket c.  The rows hold the measured
+    non-input qubits first and then the other outputs, each ascending, so
+    projecting every measured qubit is one product of a weight per
+    measured bit string with the state; the flow's order does not enter.
+    Of the flow conditions only f's domain is checked (FlowDomainError).
     """
     import numpy as np
 
@@ -173,12 +176,12 @@ def simulate_postselected(pattern: MeasurementPattern, *, max_qubits: int = DEFA
     if n > max_qubits:
         raise SimulationBoundError(f"instance has {n} qubits; simulation bound is {max_qubits}")
     _check_domain(geom, pattern.flow.successor.mapping)
-    order = measurement_order(pattern.flow)
 
     inputs = sorted(geom.inputs)
-    live = [q for q in range(n) if q not in geom.inputs]
-    r = len(live)
-    register = live + inputs
+    measured = [q for q in geom.measured if q not in geom.inputs]
+    kept = [q for q in geom.non_inputs if q in geom.outputs]
+    r = len(measured) + len(kept)
+    register = measured + kept + inputs
     adjacency = np.zeros((n, n))
     for u, v in geom.graph.edges():
         adjacency[u, v] = adjacency[v, u] = 1.0
@@ -193,22 +196,16 @@ def simulate_postselected(pattern: MeasurementPattern, *, max_qubits: int = DEFA
         + row_bits @ adjacency[:r, r:] @ col_bits.T
     )
 
-    # Measuring input q keeps only the branch where q's bit is its column
-    # bit: a phase on the columns where that bit is 1, and 1/sqrt(2).
+    # Projecting q onto its rotated plus state keeps the branch where q's
+    # bit b has weight exp(-i * b * angle) / sqrt(2).  For an input, b is
+    # its column bit: a phase on the columns.  The other measured bits are
+    # the leading row bits, summed out at once with the product weight.
     phase = np.array([pattern.angles.get(q, 0.0) for q in inputs])
-    scale = 2.0 ** (-0.5 * (r + sum(q in pattern.angles for q in inputs)))
+    scale = 2.0 ** (-0.5 * (r + len(pattern.angles)))
     sign = np.where(parity.astype(np.int64) & 1, -scale, scale)
     state = sign * np.exp(-1j * (col_bits @ phase))[None, :]
-
-    cols = state.shape[1]
-    for q in order:
-        if q in geom.inputs:
-            continue
-        t = live.index(q)
-        blocks = state.reshape(1 << t, 2, 1 << (len(live) - 1 - t), cols)
-        state = (blocks[:, 0] + np.exp(-1j * pattern.angles[q]) * blocks[:, 1]) / math.sqrt(2.0)
-        state = state.reshape(1 << (len(live) - 1), cols)
-        live.pop(t)
+    weight = np.exp(-1j * (_basis_bits(len(measured)) @ [pattern.angles[q] for q in measured]))
+    state = (weight @ state.reshape(len(weight), -1)).reshape(1 << len(kept), -1)
 
     outputs = tuple(sorted(geom.outputs))
     through = tuple(q for q in inputs if q in geom.outputs)

@@ -418,6 +418,33 @@ class TestCollectorPause:
         assert loaded.vertex_count == 2000
         assert len(flow.successor.pairs) == 1995
 
+    def test_call_ends_with_the_young_generation_pass(self, restore_gc):
+        # The paused body allocates far past a lowered threshold; the wrapper
+        # runs the one young-generation pass itself before it returns, so the
+        # caller is handed a young count at or below the threshold.
+        edges = [(v, v + 1) for v in range(19999)]
+        starts: list[tuple[int, str, str]] = []
+
+        def probe(phase: str, info: dict) -> None:
+            if phase == "start":
+                frame = sys._getframe(1)
+                starts.append((info["generation"], frame.f_code.co_name, frame.f_globals.get("__name__", "")))
+
+        thresholds = gc.get_threshold()
+        gc.enable()
+        gc.collect()
+        gc.set_threshold(100, *thresholds[1:])
+        gc.callbacks.append(probe)
+        try:
+            graph = Graph.from_edges(20000, edges)
+            young = gc.get_count()[0]
+        finally:
+            gc.callbacks.remove(probe)
+            gc.set_threshold(*thresholds)
+        assert young <= 100
+        assert starts == [(0, "call", "flowscope.geometry")]
+        assert graph.edge_count == 19999
+
     def test_zero_threshold_starts_no_collection(self, restore_gc):
         geom, _ = generate_extremal(ExtremalPartition((200, 300, 400, 500, 600)))
         text = serialize_geometry(geom)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 import time
 
@@ -590,6 +591,12 @@ class TestObstruction:
         assert not verify_obstruction(six_cycle, (0, 1, 2, 3))
         assert not verify_obstruction(six_cycle, (0, 1, 2, 6))
 
+    @pytest.mark.parametrize("bad", [1.0, "1"])
+    def test_non_int_ids_fail(self, six_cycle, bad):
+        assert verify_obstruction(six_cycle, (0, 1, 2))
+        assert not verify_obstruction(six_cycle, (0, bad, 2))
+        assert not verify_obstruction(path_geometry(3), [bad])
+
     def test_no_cover_certificate(self):
         g = Graph.from_edges(2, [(0, 1)])
         geom = Geometry(g, frozenset({1}), frozenset({1}))
@@ -690,6 +697,44 @@ class TestFlowSerialization:
         with pytest.raises(GeometryError, match="^unknown vertex '1'$"):
             dump_flow(geom, flow)
 
+    @pytest.mark.parametrize("pairs", [[(0, 1.0), (1, 2)], [(0, 1), (1.0, 2)], [(0, 1), (1, 2.5)]])
+    def test_float_id_of_f_rejected(self, pairs):
+        flow = CausalFlow(SuccessorFunction.from_pairs(pairs), (0, 1, 2))
+        with pytest.raises(GeometryError, match=r"^unknown vertex (1\.0|2\.5)$"):
+            dump_flow(path_geometry(3), flow)
+
+    def test_float_id_of_cover_rejected(self):
+        geom = path_geometry(3)
+        flow = find_causal_flow(geom).flow
+        with pytest.raises(GeometryError, match=r"^unknown vertex 1\.0$"):
+            dump_flow(geom, flow, PathCover(((0, 1.0, 2),)))
+
+    @pytest.mark.parametrize("bad", [False, True, 1.0, -1])
+    def test_bad_rank_refused_as_load_flow_refuses(self, bad):
+        # A bool was written as False, a float or negative rank made a file
+        # that load_flow rejects; each now fails with load_flow's message.
+        geom, _ = generate_extremal(ExtremalPartition((2, 2)))
+        flow = find_causal_flow(geom).flow
+        v = geom.id_of("v2_1")
+        broken = CausalFlow(flow.successor, flow.order_rank[:v] + (bad,) + flow.order_rank[v + 1 :])
+        with pytest.raises(FlowFormatError) as loaded:
+            load_flow(geom, reference_dump_flow(geom, broken))
+        with pytest.raises(FlowFormatError) as dumped:
+            dump_flow(geom, broken)
+        assert str(dumped.value) == str(loaded.value) == "ranks['v2_1']: expected a non-negative integer"
+
+    def test_short_rank_tuple_refused_as_load_flow_refuses(self):
+        geom, _ = generate_extremal(ExtremalPartition((2, 2)))
+        flow = find_causal_flow(geom).flow
+        missing = geom.label_of(geom.vertex_count - 1)
+        data = json.loads(dump_flow(geom, flow))
+        del data["ranks"][missing]
+        with pytest.raises(FlowFormatError) as loaded:
+            load_flow(geom, json.dumps(data))
+        with pytest.raises(FlowFormatError) as dumped:
+            dump_flow(geom, CausalFlow(flow.successor, flow.order_rank[:-1]))
+        assert str(dumped.value) == str(loaded.value) == f"missing rank for vertex {missing!r}"
+
     def test_unknown_label_rejected(self):
         geom = path_geometry(2)
         from flowscope import FlowFormatError
@@ -703,6 +748,19 @@ class TestFlowSerialization:
 
         with pytest.raises(FlowFormatError, match="missing rank"):
             load_flow(geom, '{"successor": {"0": "1"}, "ranks": {"0": 0}, "paths": [["0", "1"]]}')
+
+
+def test_flow_from_cover_refuses_past_the_edge_bound():
+    # One edge more than gamma(n, k): the gate decides before the cover is read.
+    geom, cover = generate_extremal(ExtremalPartition((2, 3, 3)))
+    adj = geom.graph.adjacency
+    extra = next((u, v) for u in range(geom.vertex_count) for v in range(u + 1, geom.vertex_count) if v not in adj[u])
+    denser = Geometry(
+        Graph.from_edges(geom.vertex_count, [*geom.graph.edges(), extra]), geom.inputs, geom.outputs, geom.labels
+    )
+    assert denser.graph.edge_count == gamma(denser.vertex_count, denser.output_count) + 1
+    res = flow_from_cover(denser, cover)
+    assert (res.status, res.reason, res.cover, res.flow) == ("no-flow", "edge-bound", None, None)
 
 
 @given(geometries(max_vertices=5))

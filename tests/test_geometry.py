@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 
 from flowscope import Geometry, GeometryError, Graph, load_geometry, serialize_geometry
+from flowscope.geometry import EdgeError
 
 from .conftest import geometries
 
@@ -102,6 +103,12 @@ class TestGraph:
         with pytest.raises(GeometryError, match="unknown vertex"):
             Graph.from_edges(2, [(0, 7)])
 
+    @pytest.mark.parametrize("bad", [1.0, "1"])
+    def test_non_int_edge_end(self, bad):
+        with pytest.raises(EdgeError, match="references an unknown vertex") as info:
+            Graph.from_edges(3, [(0, 2), (0, bad)])
+        assert (info.value.position, info.value.fault) == (1, "unknown-vertex")
+
     def test_negative_vertex_count_rejected(self):
         with pytest.raises(GeometryError, match="^vertex count must be non-negative$"):
             Graph.from_edges(-1)
@@ -137,6 +144,12 @@ class TestGeometryModel:
         with pytest.raises(GeometryError) as exc:
             Geometry(g, frozenset(), frozenset(), labels)
         assert str(exc.value) == message
+
+    def test_label_of_a_bool_is_its_id_label(self):
+        # dump_flow writes the id True as the label of vertex 1; label_of agrees.
+        geom = Geometry(Graph.from_edges(2, [(0, 1)]), frozenset(), frozenset())
+        assert geom.label_of(True) == "1"
+        assert geom.label_of(1) == "1"
 
     def test_labels_indexed_on_construction(self):
         geom = Geometry(Graph.from_edges(2, [(0, 1)]), frozenset(), frozenset(), ["x", "y"])

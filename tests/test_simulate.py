@@ -313,3 +313,17 @@ def test_draw_angles_deterministic_given_seed():
     b = draw_angles([1, 2, 3], np.random.default_rng(5))
     assert a == b
     assert all(0.0 <= theta < 2.0 * math.pi for theta in a.values())
+
+
+def test_measurement_order_does_not_enter_the_map():
+    # Two flows on one geometry, with the same f and ranks that measure in
+    # opposite orders, give the same amplitudes to the last bit.
+    geom, _ = generate_extremal(ExtremalPartition((2, 3, 3)))
+    flow = find_causal_flow(geom).flow
+    backwards = flow_measuring_in(flow, measurement_order(flow)[::-1])
+    assert measurement_order(backwards) == measurement_order(flow)[::-1] != measurement_order(flow)
+    angles = draw_angles(geom.measured, np.random.default_rng(21))
+    forward = simulate_postselected(MeasurementPattern(geom, flow, angles))
+    reverse = simulate_postselected(MeasurementPattern(geom, backwards, angles))
+    assert np.array_equal(forward.amplitudes, reverse.amplitudes)
+    assert isometry_defect(forward) < 1e-9
