@@ -31,17 +31,7 @@ from flowscope.flow import (
     verify_flow,
     verify_obstruction,
 )
-from flowscope.extremal import (
-    ArcKind,
-    ExtremalPartition,
-    classify_arcs,
-    count_connecting_edges,
-    gamma,
-    generate_extremal,
-    lambda_labels,
-    lex_acyclicity_certificate,
-    observation_checks,
-)
+from flowscope.extremal import ExtremalPartition, gamma, generate_extremal
 from flowscope.simulate import (
     LinearMap,
     MeasurementPattern,
@@ -56,7 +46,6 @@ from flowscope.simulate import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArcKind",
     "CausalFlow",
     "ExtremalPartition",
     "FlowCheck",
@@ -74,8 +63,6 @@ __all__ = [
     "SuccessorFunction",
     "ZeroMapError",
     "brute_force_flow",
-    "classify_arcs",
-    "count_connecting_edges",
     "draw_angles",
     "dump_flow",
     "find_causal_flow",
@@ -83,12 +70,9 @@ __all__ = [
     "gamma",
     "generate_extremal",
     "isometry_defect",
-    "lambda_labels",
-    "lex_acyclicity_certificate",
     "load_flow",
     "load_geometry",
     "measurement_order",
-    "observation_checks",
     "serialize_geometry",
     "simulate_postselected",
     "verify_flow",

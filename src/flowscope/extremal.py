@@ -5,19 +5,18 @@ it has at most gamma(n, k) = k*n - k*(k+1)/2 edges; ``gamma`` is defined
 in ``flowscope.flow``, whose edge gate uses it, and re-exported here.
 For every sorted partition n_1 <= ... <= n_k of n the generator below
 produces a geometry with exactly that many edges together with its
-canonical path cover, and the certificates in this module check the
-structural facts that make the construction work: no chords on paths,
-no crossing edges between paths, and a lexicographic ordering argument
-for acyclicity.
+canonical path cover.  The structural facts that make the construction
+work (no chords on paths, no crossing edges between paths, and a
+lexicographic ordering argument for acyclicity) are checked by the test
+oracles in ``tests/extremal_reference.py``, not here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from itertools import chain, repeat
 
-from flowscope.flow import PathCover, _influence_arcs, gamma  # noqa: F401 (gamma is re-exported)
+from flowscope.flow import PathCover, gamma  # noqa: F401 (gamma is re-exported)
 from flowscope.geometry import Geometry, Graph, _gc_paused
 
 
@@ -62,24 +61,6 @@ class ExtremalPartition:
         return len(self.parts)
 
 
-class ArcKind(Enum):
-    """Which construction rule produced an arc of the influencing digraph.
-
-    PATH tags successor arcs along a path and SKIP the distance-two arcs a
-    path edge induces; A through F tag arcs induced by connecting edges
-    between two distinct paths.
-    """
-
-    PATH = "path"
-    SKIP = "skip"
-    A = "a"
-    B = "b"
-    C = "c"
-    D = "d"
-    E = "e"
-    F = "f"
-
-
 @_gc_paused
 def generate_extremal(partition: ExtremalPartition) -> tuple[Geometry, PathCover]:
     """Build the saturating geometry for a partition, plus its path cover.
@@ -94,8 +75,8 @@ def generate_extremal(partition: ExtremalPartition) -> tuple[Geometry, PathCover
 
     Inputs are the path starts, outputs the path ends, and v{i}_a has id
     starts[i] + a - 1.  The families are disjoint, so paths i and j are
-    joined by exactly n_i + n_j - 1 edges (``count_connecting_edges``);
-    ``Graph._from_ends`` rejects any repeat.
+    joined by exactly n_i + n_j - 1 edges; ``Graph._from_ends`` rejects
+    any repeat.
     """
     parts = partition.parts
     k = partition.k
@@ -130,131 +111,3 @@ def generate_extremal(partition: ExtremalPartition) -> tuple[Geometry, PathCover
     )
     cover = PathCover(tuple(tuple(ids[si : si + ni]) for si, ni in zip(starts, parts)))
     return geom, cover
-
-
-def count_connecting_edges(partition: ExtremalPartition, i: int, j: int) -> int:
-    """Number of connecting edges between paths i and j (1-based, i < j):
-    n_i + n_j - 1."""
-    if not (1 <= i < j <= partition.k):
-        raise ValueError(f"need 1 <= i < j <= {partition.k}, got i={i}, j={j}")
-    return partition.parts[i - 1] + partition.parts[j - 1] - 1
-
-
-def _path_positions(cover: PathCover) -> tuple[dict[int, int], dict[int, int], tuple[int, ...]]:
-    path_of: dict[int, int] = {}
-    pos_of: dict[int, int] = {}
-    for idx, path in enumerate(cover.paths):
-        for offset, v in enumerate(path):
-            path_of[v] = idx
-            pos_of[v] = offset + 1
-    return path_of, pos_of, cover.lengths()
-
-
-def classify_arcs(geom: Geometry, cover: PathCover) -> dict[tuple[int, int], ArcKind]:
-    """Tag every arc of the influencing digraph with the rule that made it.
-
-    Cross-path arcs are matched against the six connecting-edge patterns in
-    the order A..F, first match wins; within-path arcs are successor (PATH)
-    or distance-two (SKIP) arcs.  An unmatched arc means the geometry was
-    not produced by the generator and is reported as an error.
-    """
-    path_of, pos_of, lengths = _path_positions(cover)
-    tags: dict[tuple[int, int], ArcKind] = {}
-    for arc in _influence_arcs(geom, cover.successor_pairs()):
-        x, y = arc
-        p, a = path_of[x], pos_of[x]
-        q, b = path_of[y], pos_of[y]
-        if p == q:
-            if b == a + 1:
-                tags[arc] = ArcKind.PATH
-            elif b == a + 2:
-                tags[arc] = ArcKind.SKIP
-            else:
-                raise ValueError(f"arc {x} -> {y} matches no construction rule")
-            continue
-        lo, hi = (p, q) if p < q else (q, p)
-        n_lo, n_hi = lengths[lo], lengths[hi]
-        if p == lo and b == a + 1 and 2 <= b <= n_lo:
-            tags[arc] = ArcKind.A
-        elif p == hi and b == a + 1 and 2 <= b <= n_lo:
-            tags[arc] = ArcKind.B
-        elif p == lo and b == a and 1 <= a <= n_lo - 1:
-            tags[arc] = ArcKind.C
-        elif p == hi and b == a + 2 and 1 <= a <= n_lo - 2:
-            tags[arc] = ArcKind.D
-        elif p == lo and a == n_lo - 1 and n_lo <= b <= n_hi:
-            tags[arc] = ArcKind.E
-        elif p == hi and b == n_lo and max(n_lo, 2) <= a + 1 <= n_hi:
-            tags[arc] = ArcKind.F
-        else:
-            raise ValueError(f"arc {x} -> {y} matches no construction rule")
-    return tags
-
-
-def lex_acyclicity_certificate(geom: Geometry, cover: PathCover) -> bool:
-    """Check the ordering argument that makes the generated digraph acyclic.
-
-    Every arc must go strictly upward in the (position, path index)
-    lexicographic order, except arcs into a path's final vertex, which are
-    harmless because final vertices have no outgoing arcs.  A vertex has
-    outgoing arcs exactly when it is a source of f, since x -> f(x) is one.
-    """
-    path_of, pos_of, lengths = _path_positions(cover)
-    pairs = cover.successor_pairs()
-    sources = {x for x, _ in pairs}
-    for x, y in _influence_arcs(geom, pairs):
-        if (pos_of[x], path_of[x]) < (pos_of[y], path_of[y]):
-            continue
-        if pos_of[y] == lengths[path_of[y]] and y not in sources:
-            continue
-        return False
-    return True
-
-
-def observation_checks(geom: Geometry, cover: PathCover) -> bool:
-    """Two necessary conditions for an acyclic influencing digraph.
-
-    First, no path may carry a chord: an edge between non-consecutive
-    vertices of one path closes a cycle immediately.  Second, no two paths
-    may be joined by a crossing pair of edges (one edge earlier on the
-    first path but later on the second).
-    """
-    path_of, pos_of, _ = _path_positions(cover)
-    by_pair: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for u, v in geom.graph.edges():
-        pu, pv = path_of[u], path_of[v]
-        if pu == pv:
-            if abs(pos_of[u] - pos_of[v]) != 1:
-                return False
-            continue
-        if pu < pv:
-            by_pair.setdefault((pu, pv), []).append((pos_of[u], pos_of[v]))
-        else:
-            by_pair.setdefault((pv, pu), []).append((pos_of[v], pos_of[u]))
-    for pairs in by_pair.values():
-        # Sorted by (a, b), a crossing pair exists exactly when b drops between neighbours.
-        pairs.sort()
-        if any(b2 < b1 for (_, b1), (_, b2) in zip(pairs, pairs[1:])):
-            return False
-    return True
-
-
-def lambda_labels(geom: Geometry, cover: PathCover, i: int, j: int) -> list[int]:
-    """Position sums a+b of the connecting edges between paths i and j.
-
-    Indices are 1-based with i < j.  When the influencing digraph is
-    acyclic these sums are pairwise distinct and lie in [2, n_i + n_j],
-    which is what caps the connecting edges at n_i + n_j - 1.
-    """
-    if not (1 <= i < j <= len(cover.paths)):
-        raise ValueError(f"need 1 <= i < j <= {len(cover.paths)}, got i={i}, j={j}")
-    path_of, pos_of, _ = _path_positions(cover)
-    wanted = {i - 1, j - 1}
-    pairs = []
-    for u, v in geom.graph.edges():
-        if {path_of[u], path_of[v]} == wanted:
-            if path_of[u] == i - 1:
-                pairs.append((pos_of[u], pos_of[v]))
-            else:
-                pairs.append((pos_of[v], pos_of[u]))
-    return [a + b for a, b in sorted(pairs)]

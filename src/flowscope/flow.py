@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Literal, Sequence
+from typing import Collection, Iterable, Literal
 
 from flowscope.geometry import (
     Geometry,
@@ -54,8 +54,9 @@ class SuccessorFunction:
 
     Stored as ascending (source, target) pairs.  Construction accepts
     arbitrary candidates so that verifiers can inspect broken ones;
-    ``verify_flow`` checks the full contract (domain, codomain, adjacency
-    and the order conditions that imply injectivity).
+    ``verify_flow`` checks the full contract: the shape of a flow (see
+    ``_check_flow``), adjacency, and the order conditions that imply
+    injectivity.
     """
 
     pairs: tuple[tuple[int, int], ...]
@@ -81,9 +82,6 @@ class PathCover:
 
     def successor_pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple((u, v) for path in self.paths for u, v in zip(path, path[1:]))
-
-    def lengths(self) -> tuple[int, ...]:
-        return tuple(len(path) for path in self.paths)
 
 
 @dataclass(frozen=True)
@@ -151,58 +149,80 @@ def verify_flow(geom: Geometry, flow: CausalFlow) -> FlowCheck:
     Returns the first violated condition with witnesses: "adjacency" when
     x is not adjacent to f(x), "successor-order" when rank(x) is not below
     rank(f(x)), and "neighborhood-order" when some other neighbour y of
-    f(x) does not come strictly after x.  A successor map whose domain or
-    codomain does not fit the geometry raises FlowDomainError instead.
+    f(x) does not come strictly after x.  A flow without the shape of one
+    on ``geom`` raises FlowDomainError instead (see ``_check_flow``).
     """
-    g = geom.graph
-    n = g.vertex_count
-    mapping = flow.successor.mapping
-    measured = geom.measured
-    _check_domain(geom, mapping)
-    for x in measured:
-        fx = mapping[x]
-        if not (isinstance(fx, int) and 0 <= fx < n):
-            raise FlowDomainError(f"f({x}) = {fx!r} is not a vertex")
-        if fx in geom.inputs:
-            raise FlowDomainError(f"f({x}) = {fx} lies in the input set")
+    _check_flow(geom, flow)
+    adj = geom.graph.adjacency
     ranks = flow.order_rank
-    if len(ranks) != n:
-        raise FlowDomainError("rank map must assign a rank to every vertex")
-
-    for x in measured:
-        fx = mapping[x]
-        if fx not in g.adjacency[x]:
+    for x, fx in flow.successor.mapping.items():
+        if fx not in adj[x]:
             return FlowCheck(False, "adjacency", (x, fx))
         if not ranks[x] < ranks[fx]:
             return FlowCheck(False, "successor-order", (x, fx))
-        for y in g.adjacency[fx]:
+        for y in adj[fx]:
             if y != x and not ranks[x] < ranks[y]:
                 return FlowCheck(False, "neighborhood-order", (x, y))
     return FlowCheck(True)
 
 
-def _check_domain(geom: Geometry, mapping: dict[int, int]) -> None:
-    """Raise FlowDomainError unless f is defined on exactly the measured vertices."""
-    extra = sorted(set(mapping) - set(geom.measured))
-    if extra:
-        raise FlowDomainError(f"f is defined on output vertex {extra[0]}")
-    missing = sorted(set(geom.measured) - set(mapping))
-    if missing:
-        raise FlowDomainError(f"f is undefined on measured vertex {missing[0]}")
+def _check_flow(geom: Geometry, flow: CausalFlow) -> None:
+    """Raise FlowDomainError unless ``flow`` has the shape of a flow on ``geom``.
 
-
-def _influence_arcs(geom: Geometry, pairs: Iterable[tuple[int, int]]) -> Iterable[tuple[int, int]]:
-    """Arcs of the influencing digraph of f, given as its (x, f(x)) pairs.
-
-    There is an arc x -> y (x != y) exactly when y = f(x) or y is adjacent
-    to f(x); its acyclicity certifies a flow for f.
+    Every id of f must be an int vertex, f must be defined on exactly the
+    measured vertices, no value of f may be an input, and there must be
+    one rank per vertex, each a non-negative int; a bool is neither an id
+    nor a rank.  Each rule is tested on the whole collection at once; only
+    a failure walks the items, to name the first bad one by its label.
     """
-    adj = geom.graph.adjacency
-    for x, fx in pairs:
-        yield (x, fx)
-        for y in adj[fx]:
-            if y != x:
-                yield (x, y)
+    n = geom.vertex_count
+    names = geom._names
+    mapping = flow.successor.mapping
+    measured = set(geom.measured)
+    # Int keys equal to the measured set are vertices; the type test comes
+    # first because 1.0 == 1 as a set member.
+    keys_ok = set(map(type, mapping)) <= {int} and mapping.keys() == measured
+    if not (keys_ok and _first_bad(mapping.values(), n) is None):
+        for x, fx in mapping.items():
+            if _first_bad((x,), n) is not None:
+                raise FlowDomainError(f"f is defined on {x!r}, which is not a vertex")
+            if _first_bad((fx,), n) is not None:
+                raise FlowDomainError(f"f({names[x]!r}) = {fx!r} is not a vertex")
+        extra = mapping.keys() - measured
+        if extra:
+            raise FlowDomainError(f"f is defined on output vertex {names[min(extra)]!r}")
+        raise FlowDomainError(f"f is undefined on measured vertex {names[min(measured - mapping.keys())]!r}")
+    inputs = geom.inputs
+    if not inputs.isdisjoint(mapping.values()):
+        x, fx = next((x, fx) for x, fx in mapping.items() if fx in inputs)
+        raise FlowDomainError(f"f({names[x]!r}) = {names[fx]!r} lies in the input set")
+    ranks = flow.order_rank
+    if len(ranks) < n:
+        raise FlowDomainError(f"missing rank for vertex {names[len(ranks)]!r}")
+    if len(ranks) > n:
+        raise FlowDomainError(f"rank map has {len(ranks)} ranks for {n} vertices")
+    bad = _first_bad(ranks)
+    if bad is not None:
+        raise FlowDomainError(f"ranks[{names[bad]!r}]: expected a non-negative integer")
+
+
+def _first_bad(values: Collection[object], bound: int | None = None) -> int | None:
+    """Position of the first value that is not a non-negative int below ``bound``, or None.
+
+    A bool is not an int here.  The whole collection is tested at once;
+    only a failure walks it.
+    """
+    if (
+        set(map(type, values)) <= {int}
+        and min(values, default=0) >= 0
+        and (bound is None or max(values, default=-1) < bound)
+    ):
+        return None
+    return next(
+        pos
+        for pos, value in enumerate(values)
+        if type(value) is not int or value < 0 or (bound is not None and value >= bound)
+    )
 
 
 def _influence_order(
@@ -587,21 +607,16 @@ def dump_flow(geom: Geometry, flow: CausalFlow, cover: PathCover | None = None) 
     ``successor`` and ``ranks`` list vertices in label order; ``paths``
     follows the cover, by default the orbits of f.  The layout is
     ``json.dumps(payload, indent=2)`` plus a final newline, with ASCII
-    escapes.  An id of f or of the cover that is not a vertex raises
-    GeometryError, and an f that is not injective or has a cyclic orbit
-    raises ValueError.  What ``load_flow`` would reject in the written
-    file, a missing or bad rank or paths that are not the orbits of f,
-    raises the same FlowFormatError.
+    escapes.  A flow without the shape of one on ``geom`` raises
+    FlowDomainError, as in ``verify_flow``.  An f that is not injective
+    or has a cyclic orbit raises ValueError.  An id of the cover that is
+    not a vertex raises GeometryError, and a cover that is not the orbits
+    of f raises the FlowFormatError that ``load_flow`` would raise.
     """
+    _check_flow(geom, flow)
     n = geom.vertex_count
     mapping = flow.successor.mapping
-    _require_vertices(geom, [*mapping, *mapping.values()])
     ranks = flow.order_rank
-    if len(ranks) < n:
-        raise FlowFormatError(f"missing rank for vertex {geom.label_of(len(ranks))!r}")
-    bad = _first_bad_rank(ranks[:n])
-    if bad is not None:
-        raise FlowFormatError(f"ranks[{geom.label_of(bad)!r}]: expected a non-negative integer")
     if cover is None:
         paths = _splice_orbits(n, mapping)
         if paths is None:
@@ -636,13 +651,6 @@ def _require_vertices(geom: Geometry, ids: list[int]) -> None:
         geom.label_of(v)
 
 
-def _first_bad_rank(values: Sequence[object]) -> int | None:
-    """Position of the first value that is not a non-negative int, or None; a bool is not a rank."""
-    if set(map(type, values)) <= {int} and min(values, default=0) >= 0:
-        return None
-    return next(pos for pos, value in enumerate(values) if type(value) is not int or value < 0)
-
-
 @_gc_paused
 def load_flow(geom: Geometry, text: str) -> tuple[CausalFlow, PathCover]:
     """Parse a flow file against a geometry; the flow conditions are left to verify_flow.
@@ -664,7 +672,7 @@ def load_flow(geom: Geometry, text: str) -> tuple[CausalFlow, PathCover]:
     if not isinstance(raw_ranks, dict):
         raise FlowFormatError("'ranks' must be an object")
     labels, values = list(raw_ranks), list(raw_ranks.values())
-    bad = _first_bad_rank(values)
+    bad = _first_bad(values)
     if bad is not None:
         # A bad label before the bad value, or beside it, is named first.
         _resolve(geom, labels[: bad + 1], "ranks")

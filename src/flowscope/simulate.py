@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from flowscope.flow import CausalFlow, _check_domain
+from flowscope.flow import CausalFlow, _check_flow
 from flowscope.geometry import Geometry
 
 if TYPE_CHECKING:
@@ -167,15 +167,16 @@ def simulate_postselected(pattern: MeasurementPattern, *, max_qubits: int = DEFA
     non-input qubits first and then the other outputs, each ascending, so
     projecting every measured qubit is one product of a weight per
     measured bit string with the state; the flow's order does not enter.
-    Of the flow conditions only f's domain is checked (FlowDomainError).
+    Of the flow conditions only the shape of a flow is checked, as
+    ``verify_flow`` checks it (FlowDomainError).
     """
     import numpy as np
 
     geom = pattern.geometry
+    _check_flow(geom, pattern.flow)
     n = geom.vertex_count
     if n > max_qubits:
         raise SimulationBoundError(f"instance has {n} qubits; simulation bound is {max_qubits}")
-    _check_domain(geom, pattern.flow.successor.mapping)
 
     inputs = sorted(geom.inputs)
     measured = [q for q in geom.measured if q not in geom.inputs]

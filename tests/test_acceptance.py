@@ -25,7 +25,6 @@ from flowscope import (
     gamma,
     generate_extremal,
     isometry_defect,
-    lex_acyclicity_certificate,
     load_geometry,
     simulate_postselected,
     verify_flow,
@@ -34,6 +33,7 @@ from flowscope import (
 
 from .conftest import SIX_CYCLE_TEXT, first_path_cover, no_flow_reason_fault
 from .digraph_reference import influence_order
+from .extremal_reference import lex_acyclicity_certificate
 
 ANGLE_DRAWS = 20
 # Interleaved timing rounds of criterion 7.

@@ -7,23 +7,17 @@ import random
 import pytest
 
 from flowscope import (
-    ArcKind,
     ExtremalPartition,
     Geometry,
     Graph,
     PathCover,
     brute_force_flow,
-    classify_arcs,
-    count_connecting_edges,
     dump_flow,
     find_causal_flow,
     flow_from_cover,
     gamma,
     generate_extremal,
-    lambda_labels,
-    lex_acyclicity_certificate,
     load_geometry,
-    observation_checks,
     serialize_geometry,
     verify_flow,
 )
@@ -32,6 +26,14 @@ from flowscope.flow import DEFAULT_ORACLE_BOUND
 
 from .conftest import check_cover, relabel
 from .digraph_reference import influence_arcs, influence_order
+from .extremal_reference import (
+    ArcKind,
+    classify_arcs,
+    count_connecting_edges,
+    lambda_labels,
+    lex_acyclicity_certificate,
+    observation_checks,
+)
 
 
 def iter_partitions(n, smallest=1):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from flowscope import (
     CausalFlow,
     ExtremalPartition,
+    FlowDomainError,
     FlowFormatError,
     Geometry,
     GeometryError,
@@ -122,18 +123,26 @@ class TestByteIdentity:
         assert reread_cover == cover
 
     @pytest.mark.parametrize(
-        "pairs, paths",
+        "pairs, paths, error, message",
         [
-            ([(0, 3), (1, 4), (2, -1)], ((0, 3), (1, 4), (2, 5))),
-            ([(0, 3), (1, 4), (7, 5)], ((0, 3), (1, 4), (2, 5))),
-            ([(0, 3), (1, 4), (2, 5)], ((0, 3), (1, 4), (2, 6))),
-            ([(0, 7)], None),
+            ([(0, 3), (1, 4), (2, -1)], ((0, 3), (1, 4), (2, 5)), FlowDomainError, "f('a2') = -1 is not a vertex"),
+            (
+                [(0, 3), (1, 4), (7, 5)],
+                ((0, 3), (1, 4), (2, 5)),
+                FlowDomainError,
+                "f is defined on 7, which is not a vertex",
+            ),
+            ([(0, 3), (1, 4), (2, 5)], ((0, 3), (1, 4), (2, 6)), GeometryError, "unknown vertex 6"),
+            ([(0, 7)], None, FlowDomainError, "f('a0') = 7 is not a vertex"),
         ],
+        ids=["pairs0-paths0", "pairs1-paths1", "pairs2-paths2", "pairs3-None"],
     )
-    def test_unknown_vertex_in_flow_rejected(self, six_cycle, pairs, paths):
+    def test_unknown_vertex_in_flow_rejected(self, six_cycle, pairs, paths, error, message):
+        # f's shape is checked before the cover is read.
         flow = CausalFlow(SuccessorFunction.from_pairs(pairs), (0,) * 6)
-        with pytest.raises(GeometryError, match="unknown vertex"):
+        with pytest.raises(error) as exc:
             dump_flow(six_cycle, flow, paths and PathCover(paths))
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize(
         "pairs",
@@ -146,9 +155,13 @@ class TestByteIdentity:
         ids=["merge", "two-cycle", "merge-into-cycle", "merge-beside-cycle"],
     )
     def test_unsplicable_flow_without_cover_rejected(self, six_cycle, pairs):
+        # With no inputs, and f's domain as the measured set, each f has the
+        # shape of a flow, so dump_flow gets as far as laying out its orbits.
+        domain = frozenset(x for x, _ in pairs)
+        geom = Geometry(six_cycle.graph, frozenset(), frozenset(range(6)) - domain, six_cycle.labels)
         flow = CausalFlow(SuccessorFunction.from_pairs(pairs), (0,) * 6)
         with pytest.raises(ValueError, match="^f is not injective or has a cyclic orbit; cannot lay out paths$"):
-            dump_flow(six_cycle, flow)
+            dump_flow(geom, flow)
 
 
 def traced_peak(call):

@@ -18,6 +18,7 @@ from flowscope import (
     Geometry,
     GeometryError,
     Graph,
+    MeasurementPattern,
     OracleBoundError,
     PathCover,
     SuccessorFunction,
@@ -28,10 +29,11 @@ from flowscope import (
     gamma,
     generate_extremal,
     load_flow,
+    simulate_postselected,
     verify_flow,
     verify_obstruction,
 )
-from flowscope.flow import _influence_arcs, _influence_order, _splice_orbits
+from flowscope.flow import _influence_order, _splice_orbits
 
 from .conftest import (
     check_cover,
@@ -43,6 +45,7 @@ from .conftest import (
     saturating_assignments,
 )
 from .digraph_reference import acyclic_order, influence_arcs, influence_order
+from .extremal_reference import iter_influence_arcs
 from .json_reference import reference_dump_flow
 
 
@@ -187,24 +190,6 @@ class TestVerifyFlow:
         # a2 must precede a0 because a0 is adjacent to f(a2) = b2
         assert check.witness == (2, 0)
 
-    def test_domain_mismatch_raises(self):
-        geom = path_geometry(3)
-        flow = CausalFlow(SuccessorFunction.from_pairs([(0, 1)]), (0, 1, 2))
-        with pytest.raises(FlowDomainError, match="undefined"):
-            verify_flow(geom, flow)
-
-    def test_short_rank_map_raises(self):
-        geom = path_geometry(3)
-        flow = CausalFlow(SuccessorFunction.from_pairs([(0, 1), (1, 2)]), (0, 1))
-        with pytest.raises(FlowDomainError, match="^rank map must assign a rank to every vertex$"):
-            verify_flow(geom, flow)
-
-    def test_image_in_inputs_raises(self):
-        geom = path_geometry(3)
-        flow = CausalFlow(SuccessorFunction.from_pairs([(0, 1), (1, 0)]), (0, 1, 2))
-        with pytest.raises(FlowDomainError, match="input set"):
-            verify_flow(geom, flow)
-
     def test_successor_order_violation(self):
         geom = path_geometry(2)
         flow = CausalFlow(SuccessorFunction.from_pairs([(0, 1)]), (1, 0))
@@ -212,21 +197,63 @@ class TestVerifyFlow:
         assert check.condition == "successor-order"
 
 
+class TestFlowShape:
+    """One rule for a flow's shape, and the same refusal from each caller that checks it."""
+
+    @pytest.mark.parametrize(
+        "pairs, ranks, message",
+        [
+            ([(0, 1), (1.0, 2)], (0, 1, 2), "f is defined on 1.0, which is not a vertex"),
+            ([(0, 1), (1, 2), (99, 2)], (0, 1, 2), "f is defined on 99, which is not a vertex"),
+            ([(0, 1.0), (1, 2)], (0, 1, 2), "f('0') = 1.0 is not a vertex"),
+            ([(0, 1), (1, 2.5)], (0, 1, 2), "f('1') = 2.5 is not a vertex"),
+            ([(0, "1"), (1, 2)], (0, 1, 2), "f('0') = '1' is not a vertex"),
+            ([(0, 1), (1, 3)], (0, 1, 2), "f('1') = 3 is not a vertex"),
+            ([(0, 1), (1, 2), (2, 1)], (0, 1, 2), "f is defined on output vertex '2'"),
+            ([(0, 1)], (0, 1, 2), "f is undefined on measured vertex '1'"),
+            ([(0, 1), (1, 0)], (0, 1, 2), "f('1') = '0' lies in the input set"),
+            ([(0, 1), (1, 2)], (0, 1), "missing rank for vertex '2'"),
+            ([(0, 1), (1, 2)], (0, 1, 2, 7), "rank map has 4 ranks for 3 vertices"),
+            ([(0, 1), (1, 2)], (0, True, 2), "ranks['1']: expected a non-negative integer"),
+            ([(0, 1), (1, 2)], (0, 1.5, 2), "ranks['1']: expected a non-negative integer"),
+            ([(0, 1), (1, 2)], (0, 1, -1), "ranks['2']: expected a non-negative integer"),
+        ],
+        ids=[
+            "float-key",
+            "unknown-key",
+            "float-value",
+            "fractional-value",
+            "string-value",
+            "unknown-value",
+            "output-key",
+            "undefined",
+            "input-value",
+            "short-ranks",
+            "long-ranks",
+            "bool-rank",
+            "float-rank",
+            "negative-rank",
+        ],
+    )
+    def test_refused_alike_by_every_caller(self, pairs, ranks, message):
+        # The 3-vertex path with I = {0} and O = {2}; from_pairs accepts
+        # any candidate, and each caller checks the shape before it reads f.
+        geom = path_geometry(3)
+        flow = CausalFlow(SuccessorFunction.from_pairs(pairs), ranks)
+        pattern = MeasurementPattern(geom, flow, {0: 0.1, 1: 0.2})
+        messages = []
+        for call in (verify_flow, dump_flow):
+            with pytest.raises(FlowDomainError) as exc:
+                call(geom, flow)
+            messages.append(str(exc.value))
+        with pytest.raises(FlowDomainError) as exc:
+            simulate_postselected(pattern)
+        messages.append(str(exc.value))
+        assert messages == [message] * 3
+
+
 class TestSuccessorFunction:
     """``from_pairs`` accepts any candidate; ``verify_flow`` checks the contract."""
-
-    def test_out_of_domain_raises(self):
-        geom = path_geometry(3)
-        flow = CausalFlow(SuccessorFunction.from_pairs([(0, 1), (1, 2)]), (0, 1, 2))
-        assert verify_flow(geom, flow).ok
-        for pairs, message in (
-            ([(0, 1), (1, 2), (2, 1)], "output vertex 2"),
-            ([(0, 1)], "undefined on measured vertex 1"),
-            ([(0, 1), (1, 3)], "not a vertex"),
-        ):
-            flow = CausalFlow(SuccessorFunction.from_pairs(pairs), (0, 1, 2))
-            with pytest.raises(FlowDomainError, match=message):
-                verify_flow(geom, flow)
 
     def test_rejects_non_injective(self):
         g = Graph.from_edges(3, [(0, 2), (1, 2)])
@@ -258,11 +285,11 @@ class TestSuccessorFunction:
 
 
 class TestInfluencingDigraph:
-    """The package's arc generator against the reference arc list."""
+    """The adjacency-read arc generator against the edge-set reference arc list."""
 
     @staticmethod
     def arc_lists(geom, pairs):
-        return list(_influence_arcs(geom, pairs)), influence_arcs(geom, pairs)
+        return list(iter_influence_arcs(geom, pairs)), influence_arcs(geom, pairs)
 
     def test_path_digraph(self):
         for arcs in self.arc_lists(path_geometry(3), [(0, 1), (1, 2)]):
@@ -418,9 +445,10 @@ class TestPathCover:
         with pytest.raises(ValueError, match="initial"):
             check_cover(geom, cover)
         # In a flow file the path is the orbit of f, so it loads; the input
-        # in its middle is f(0), which verify_flow rejects.
+        # in its middle is f(0), which verify_flow rejects.  dump_flow
+        # refuses such a flow, so the reference renderer writes the file.
         flow = CausalFlow(SuccessorFunction.from_pairs([(0, 1), (1, 2)]), (0, 1, 2))
-        loaded, _ = load_flow(geom, dump_flow(geom, flow, cover))
+        loaded, _ = load_flow(geom, reference_dump_flow(geom, flow, cover))
         with pytest.raises(FlowDomainError, match="input set"):
             verify_flow(geom, loaded)
 
@@ -691,18 +719,6 @@ class TestFlowSerialization:
         assert cover == orbit_cover(geom, res.flow)
         assert dump_flow(geom, flow, cover) == text
 
-    def test_non_integer_id_rejected(self):
-        geom = path_geometry(3)
-        flow = CausalFlow(SuccessorFunction.from_pairs([(0, "1"), (1, 2)]), (0, 1, 2))
-        with pytest.raises(GeometryError, match="^unknown vertex '1'$"):
-            dump_flow(geom, flow)
-
-    @pytest.mark.parametrize("pairs", [[(0, 1.0), (1, 2)], [(0, 1), (1.0, 2)], [(0, 1), (1, 2.5)]])
-    def test_float_id_of_f_rejected(self, pairs):
-        flow = CausalFlow(SuccessorFunction.from_pairs(pairs), (0, 1, 2))
-        with pytest.raises(GeometryError, match=r"^unknown vertex (1\.0|2\.5)$"):
-            dump_flow(path_geometry(3), flow)
-
     def test_float_id_of_cover_rejected(self):
         geom = path_geometry(3)
         flow = find_causal_flow(geom).flow
@@ -712,14 +728,14 @@ class TestFlowSerialization:
     @pytest.mark.parametrize("bad", [False, True, 1.0, -1])
     def test_bad_rank_refused_as_load_flow_refuses(self, bad):
         # A bool was written as False, a float or negative rank made a file
-        # that load_flow rejects; each now fails with load_flow's message.
+        # that load_flow rejects; dump_flow refuses each with load_flow's message.
         geom, _ = generate_extremal(ExtremalPartition((2, 2)))
         flow = find_causal_flow(geom).flow
         v = geom.id_of("v2_1")
         broken = CausalFlow(flow.successor, flow.order_rank[:v] + (bad,) + flow.order_rank[v + 1 :])
         with pytest.raises(FlowFormatError) as loaded:
             load_flow(geom, reference_dump_flow(geom, broken))
-        with pytest.raises(FlowFormatError) as dumped:
+        with pytest.raises(FlowDomainError) as dumped:
             dump_flow(geom, broken)
         assert str(dumped.value) == str(loaded.value) == "ranks['v2_1']: expected a non-negative integer"
 
@@ -731,7 +747,7 @@ class TestFlowSerialization:
         del data["ranks"][missing]
         with pytest.raises(FlowFormatError) as loaded:
             load_flow(geom, json.dumps(data))
-        with pytest.raises(FlowFormatError) as dumped:
+        with pytest.raises(FlowDomainError) as dumped:
             dump_flow(geom, CausalFlow(flow.successor, flow.order_rank[:-1]))
         assert str(dumped.value) == str(loaded.value) == f"missing rank for vertex {missing!r}"
 

@@ -8,7 +8,6 @@ import importlib.util
 import flowscope
 
 PUBLIC_NAMES = [
-    "ArcKind",
     "CausalFlow",
     "ExtremalPartition",
     "FlowCheck",
@@ -26,8 +25,6 @@ PUBLIC_NAMES = [
     "SuccessorFunction",
     "ZeroMapError",
     "brute_force_flow",
-    "classify_arcs",
-    "count_connecting_edges",
     "draw_angles",
     "dump_flow",
     "find_causal_flow",
@@ -35,26 +32,37 @@ PUBLIC_NAMES = [
     "gamma",
     "generate_extremal",
     "isometry_defect",
-    "lambda_labels",
-    "lex_acyclicity_certificate",
     "load_flow",
     "load_geometry",
     "measurement_order",
-    "observation_checks",
     "serialize_geometry",
     "simulate_postselected",
     "verify_flow",
     "verify_obstruction",
 ]
 
-# The materialised digraph and its helpers live in tests/digraph_reference.py.
-REMOVED_NAMES = ["AcyclicityResult", "Digraph", "PathCoverError", "acyclic_order", "build_influencing_digraph"]
+# The materialised digraph and its helpers live in tests/digraph_reference.py,
+# the extremal construction's structural checks in tests/extremal_reference.py.
+REMOVED_NAMES = [
+    "AcyclicityResult",
+    "ArcKind",
+    "Digraph",
+    "PathCoverError",
+    "acyclic_order",
+    "build_influencing_digraph",
+    "classify_arcs",
+    "count_connecting_edges",
+    "lambda_labels",
+    "lex_acyclicity_certificate",
+    "observation_checks",
+]
 
 
 def test_public_surface():
     assert flowscope.__all__ == PUBLIC_NAMES
     assert [name for name in PUBLIC_NAMES if not hasattr(flowscope, name)] == []
-    for module_name in ("flowscope", "flowscope.flow", "flowscope.geometry"):
+    modules = ("flowscope", "flowscope.extremal", "flowscope.flow", "flowscope.geometry", "flowscope.simulate")
+    for module_name in modules:
         module = importlib.import_module(module_name)
         assert [name for name in REMOVED_NAMES if hasattr(module, name)] == [], module_name
 
