@@ -196,6 +196,12 @@ class TestVerifyFlow:
         check = verify_flow(geom, flow)
         assert check.condition == "successor-order"
 
+    def test_domain_mismatch_raises(self):
+        geom = path_geometry(3)
+        flow = CausalFlow(SuccessorFunction.from_pairs([(0, 1)]), (0, 1, 2))
+        with pytest.raises(FlowDomainError, match="undefined"):
+            verify_flow(geom, flow)
+
 
 class TestFlowShape:
     """One rule for a flow's shape, and the same refusal from each caller that checks it."""

@@ -13,6 +13,7 @@ import pytest
 from flowscope import (
     CausalFlow,
     ExtremalPartition,
+    FlowDomainError,
     Geometry,
     Graph,
     LinearMap,
@@ -132,6 +133,19 @@ class TestSimulatePostselected:
         flow = find_causal_flow(geom).flow
         with pytest.raises(ValueError, match=f"^{message}$"):
             MeasurementPattern(geom, flow, angles)
+
+    def test_schedule_must_cover_measured(self):
+        # The measurement order is f's domain by rank, so f must be defined
+        # on exactly the measured vertices, as verify_flow requires.
+        geom = path_geometry(3)
+        for pairs, message in [
+            ([(0, 1)], "f is undefined on measured vertex '1'"),
+            ([(0, 1), (1, 2), (2, 1)], "f is defined on output vertex '2'"),
+        ]:
+            flow = CausalFlow(SuccessorFunction.from_pairs(pairs), (0, 1, 2))
+            pattern = MeasurementPattern(geom, flow, {0: 0.1, 1: 0.2})
+            with pytest.raises(FlowDomainError, match=f"^{message}$"):
+                simulate_postselected(pattern)
 
     @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
     def test_non_finite_angle_rejected(self, theta):
