@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from flowscope.extremal import ExtremalPartition, gamma, generate_extremal
@@ -74,12 +73,12 @@ class CliError(ValueError):
     """Bad invocation or unusable input file."""
 
 
-@dataclass
 class Report:
     """Collects human-readable lines until the verdict ends the command."""
 
-    porcelain: bool
-    lines: list[str] = field(default_factory=list)
+    def __init__(self, porcelain: bool, lines: list[str] | None = None) -> None:
+        self.porcelain = porcelain
+        self.lines = [] if lines is None else lines
 
     def say(self, *lines: str) -> None:
         if not self.porcelain:

@@ -13,15 +13,14 @@ oracles in ``tests/extremal_reference.py``, not here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, repeat
+from typing import Iterable
 
 from flowscope.flow import PathCover, gamma  # noqa: F401 (gamma is re-exported)
-from flowscope.geometry import Geometry, Graph, _gc_paused
+from flowscope.geometry import Geometry, Graph, _gc_paused, _Record
 
 
-@dataclass(frozen=True)
-class ExtremalPartition:
+class ExtremalPartition(_Record):
     """Sorted integer partition n_1 <= ... <= n_k with positive parts.
 
     Unsorted input is rejected rather than silently sorted: the connecting
@@ -29,11 +28,10 @@ class ExtremalPartition:
     caller's back would hide bugs.
     """
 
-    parts: tuple[int, ...]
+    _fields = ("parts",)
 
-    def __post_init__(self) -> None:
-        parts = tuple(self.parts)
-        object.__setattr__(self, "parts", parts)
+    def __init__(self, parts: Iterable[int]) -> None:
+        parts = self.__dict__["parts"] = tuple(parts)
         if not parts:
             raise ValueError("partition must have at least one part")
         for p in parts:

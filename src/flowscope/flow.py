@@ -17,7 +17,6 @@ partial matching names the reason.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from json.encoder import encode_basestring_ascii
@@ -27,6 +26,7 @@ from flowscope.geometry import (
     Geometry,
     GeometryError,
     _gc_paused,
+    _Record,
     json_block,
     load_json_object,
 )
@@ -48,8 +48,7 @@ class FlowFormatError(ValueError):
     """A flow file cannot be parsed against the given geometry."""
 
 
-@dataclass(frozen=True)
-class SuccessorFunction:
+class SuccessorFunction(_Record):
     """Partial map from measured vertices to their correction partners.
 
     Stored as ascending (source, target) pairs.  Construction accepts
@@ -59,7 +58,10 @@ class SuccessorFunction:
     injectivity.
     """
 
-    pairs: tuple[tuple[int, int], ...]
+    _fields = ("pairs",)
+
+    def __init__(self, pairs: tuple[tuple[int, int], ...]) -> None:
+        self.__dict__["pairs"] = pairs
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> SuccessorFunction:
@@ -70,50 +72,57 @@ class SuccessorFunction:
         return dict(self.pairs)
 
 
-@dataclass(frozen=True)
-class PathCover:
+class PathCover(_Record):
     """Vertex-disjoint directed paths covering the whole graph.
 
     There is one path per output vertex; outputs appear only as final
     points and inputs only as initial points.
     """
 
-    paths: tuple[tuple[int, ...], ...]
+    _fields = ("paths",)
+
+    def __init__(self, paths: tuple[tuple[int, ...], ...]) -> None:
+        self.__dict__["paths"] = paths
 
     def successor_pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple((u, v) for path in self.paths for u, v in zip(path, path[1:]))
 
 
-@dataclass(frozen=True)
-class CausalFlow:
+class CausalFlow(_Record):
     """A successor function plus a vertex rank map witnessing the order.
 
     ``order_rank[v]`` is a non-negative integer; arcs of the influencing
     digraph go strictly uphill in rank.
     """
 
-    successor: SuccessorFunction
-    order_rank: tuple[int, ...]
+    _fields = ("successor", "order_rank")
+
+    def __init__(self, successor: SuccessorFunction, order_rank: tuple[int, ...]) -> None:
+        d = self.__dict__
+        d["successor"] = successor
+        d["order_rank"] = order_rank
 
     @property
     def depth(self) -> int:
         return max(self.order_rank, default=0)
 
 
-@dataclass(frozen=True)
-class FlowCheck:
+class FlowCheck(_Record):
     """Outcome of verifying a flow; falsy when a condition fails."""
 
-    ok: bool
-    condition: str | None = None
-    witness: tuple[int, ...] | None = None
+    _fields = ("ok", "condition", "witness")
+
+    def __init__(self, ok: bool, condition: str | None = None, witness: tuple[int, ...] | None = None) -> None:
+        d = self.__dict__
+        d["ok"] = ok
+        d["condition"] = condition
+        d["witness"] = witness
 
     def __bool__(self) -> bool:
         return self.ok
 
 
-@dataclass(frozen=True)
-class FlowSearchResult:
+class FlowSearchResult(_Record):
     """Verdict of the flow pipeline.
 
     ``status`` is "found" or "no-flow".  A no-flow verdict carries a reason
@@ -125,12 +134,24 @@ class FlowSearchResult:
     ``cover``, to the cover it was given.
     """
 
-    status: SearchStatus
-    flow: CausalFlow | None = None
-    cover: PathCover | None = None
-    reason: str | None = None
-    cycle: tuple[int, ...] | None = None
-    obstruction: tuple[int, ...] | None = None
+    _fields = ("status", "flow", "cover", "reason", "cycle", "obstruction")
+
+    def __init__(
+        self,
+        status: SearchStatus,
+        flow: CausalFlow | None = None,
+        cover: PathCover | None = None,
+        reason: str | None = None,
+        cycle: tuple[int, ...] | None = None,
+        obstruction: tuple[int, ...] | None = None,
+    ) -> None:
+        d = self.__dict__
+        d["status"] = status
+        d["flow"] = flow
+        d["cover"] = cover
+        d["reason"] = reason
+        d["cycle"] = cycle
+        d["obstruction"] = obstruction
 
 
 def gamma(n: int, k: int) -> int:
@@ -610,8 +631,9 @@ def dump_flow(geom: Geometry, flow: CausalFlow, cover: PathCover | None = None) 
     escapes.  A flow without the shape of one on ``geom`` raises
     FlowDomainError, as in ``verify_flow``.  An f that is not injective
     or has a cyclic orbit raises ValueError.  An id of the cover that is
-    not a vertex raises GeometryError, and a cover that is not the orbits
-    of f raises the FlowFormatError that ``load_flow`` would raise.
+    not an int vertex (a bool is not one) raises GeometryError, and a
+    cover that is not the orbits of f raises the FlowFormatError that
+    ``load_flow`` would raise.
     """
     _check_flow(geom, flow)
     n = geom.vertex_count
@@ -623,7 +645,10 @@ def dump_flow(geom: Geometry, flow: CausalFlow, cover: PathCover | None = None) 
             raise ValueError("f is not injective or has a cyclic orbit; cannot lay out paths")
     else:
         paths = cover.paths
-        _require_vertices(geom, list(chain.from_iterable(paths)))
+        ids = list(chain.from_iterable(paths))
+        bad = _first_bad(ids, n)
+        if bad is not None:
+            raise GeometryError(f"unknown vertex {ids[bad]!r}")
         _check_orbits(geom, mapping, paths)
     names = geom._names
     esc = list(map(encode_basestring_ascii, names))
@@ -634,21 +659,6 @@ def dump_flow(geom: Geometry, flow: CausalFlow, cover: PathCover | None = None) 
         ("paths", json_block([json_block([esc[v] for v in path], 2) for path in paths], 1)),
     )
     return json_block([f'"{key}": {value}' for key, value in fields], 0, "{}") + "\n"
-
-
-def _require_vertices(geom: Geometry, ids: list[int]) -> None:
-    """Raise GeometryError unless every entry of ``ids`` is a vertex of ``geom``.
-
-    A sum of ints is an int, and a float or any other number makes it
-    another type or raises, so the bulk test checks the types in one pass.
-    """
-    try:
-        if not ids or (type(sum(ids)) is int and min(ids) >= 0 and max(ids) < geom.vertex_count):
-            return
-    except TypeError:
-        pass
-    for v in ids:
-        geom.label_of(v)
 
 
 @_gc_paused

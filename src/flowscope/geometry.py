@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import gc
 import json
-from dataclasses import dataclass
 from functools import cached_property, wraps
 from itertools import chain
 from json.encoder import encode_basestring_ascii
@@ -72,10 +71,54 @@ def _gc_paused(func):
 
 
 def _unchecked(cls, **fields):
-    """An instance of the frozen dataclass ``cls`` holding ``fields``, which obey its rules; no check runs."""
+    """An instance of the value class ``cls`` holding ``fields``, which obey its rules; no check runs."""
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj
+
+
+class _Record:
+    """Base of the package's immutable value classes.
+
+    A subclass names its fields, in order, in ``_fields``; its ``__init__``
+    writes them straight into the instance ``__dict__``, as ``_unchecked``
+    does.  Instances are equal when they have the same class and equal
+    fields, hash by the tuple of their fields, print as
+    ``Name(field=value, ...)``, and refuse assignment and deletion with
+    ``dataclasses.FrozenInstanceError``, as a frozen dataclass does.  The
+    classes are not dataclasses, so importing the package neither loads
+    ``dataclasses`` nor generates code for them.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        d = self.__dict__
+        return tuple([d[name] for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        d = self.__dict__
+        return f"{type(self).__qualname__}({', '.join(f'{name}={d[name]!r}' for name in self._fields)})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        _refuse(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        _refuse(f"cannot delete field {name!r}")
+
+
+def _refuse(message: str) -> None:
+    from dataclasses import FrozenInstanceError  # loaded only on this error path
+
+    raise FrozenInstanceError(message)
 
 
 class GeometryError(ValueError):
@@ -95,8 +138,7 @@ class EdgeError(GeometryError):
         self.fault = fault
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(_Record):
     """Undirected simple graph: no self-loops, no parallel edges.
 
     ``adjacency[v]`` is the ascending tuple of neighbours of ``v``.  Keeping
@@ -104,9 +146,13 @@ class Graph:
     deterministic.
     """
 
-    vertex_count: int
-    adjacency: tuple[tuple[int, ...], ...]
-    edge_count: int
+    _fields = ("vertex_count", "adjacency", "edge_count")
+
+    def __init__(self, vertex_count: int, adjacency: tuple[tuple[int, ...], ...], edge_count: int) -> None:
+        d = self.__dict__
+        d["vertex_count"] = vertex_count
+        d["adjacency"] = adjacency
+        d["edge_count"] = edge_count
 
     @classmethod
     @_gc_paused
@@ -173,8 +219,7 @@ def _raise_first_bad_edge(n: int, ends: list[int]) -> None:
         seen.add(key)
 
 
-@dataclass(frozen=True)
-class Geometry:
+class Geometry(_Record):
     """A graph together with its input and output vertex sets.
 
     Inputs and outputs may overlap.  The measured vertices are those
@@ -182,22 +227,27 @@ class Geometry:
     input set.  Instances are immutable and safe to share.
     """
 
-    graph: Graph
-    inputs: frozenset[int]
-    outputs: frozenset[int]
-    labels: tuple[str, ...] | None = None
+    _fields = ("graph", "inputs", "outputs", "labels")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "inputs", frozenset(self.inputs))
-        object.__setattr__(self, "outputs", frozenset(self.outputs))
-        n = self.graph.vertex_count
+    def __init__(
+        self,
+        graph: Graph,
+        inputs: Iterable[int],
+        outputs: Iterable[int],
+        labels: Iterable[str] | None = None,
+    ) -> None:
+        d = self.__dict__
+        d["graph"] = graph
+        d["inputs"] = frozenset(inputs)
+        d["outputs"] = frozenset(outputs)
+        d["labels"] = labels
+        n = graph.vertex_count
         for name in ("inputs", "outputs"):
-            for v in getattr(self, name):
+            for v in d[name]:
                 if not (isinstance(v, int) and 0 <= v < n):
                     raise GeometryError(f"{name} reference unknown vertex {v!r}")
-        if self.labels is not None:
-            labels = tuple(self.labels)
-            object.__setattr__(self, "labels", labels)
+        if labels is not None:
+            labels = d["labels"] = tuple(labels)
             if len(labels) != n:
                 raise GeometryError("label count does not match vertex count")
             _check_labels(labels)

@@ -28,12 +28,11 @@ for the Gram blocks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from flowscope.flow import CausalFlow, _check_flow
-from flowscope.geometry import Geometry
+from flowscope.geometry import Geometry, _Record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -49,17 +48,21 @@ class ZeroMapError(ValueError):
     """Post-selection annihilated the state, which a valid flow rules out."""
 
 
-@dataclass(frozen=True, eq=False)
-class MeasurementPattern:
-    """A geometry and flow plus one finite measurement angle per measured vertex."""
+class MeasurementPattern(_Record):
+    """A geometry and flow plus one finite measurement angle per measured vertex.
 
-    geometry: Geometry
-    flow: CausalFlow
-    angles: Mapping[int, float]
+    Instances are equal only to themselves.
+    """
 
-    def __post_init__(self) -> None:
-        angles = dict(self.angles)
-        object.__setattr__(self, "angles", angles)
+    _fields = ("geometry", "flow", "angles")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, geometry: Geometry, flow: CausalFlow, angles: Mapping[int, float]) -> None:
+        d = self.__dict__
+        d["geometry"] = geometry
+        d["flow"] = flow
+        angles = d["angles"] = dict(angles)
         measured = set(self.geometry.measured)
         if angles.keys() != measured:
             label_of = self.geometry.label_of
@@ -74,8 +77,7 @@ class MeasurementPattern:
                 raise ValueError(f"angle {theta} for vertex {label!r} is not finite")
 
 
-@dataclass(frozen=True, eq=False)
-class LinearMap:
+class LinearMap(_Record):
     """Complex matrix from the input subsystem to the output subsystem.
 
     Rows of ``matrix`` are indexed by the output qubits and columns by the
@@ -86,15 +88,27 @@ class LinearMap:
     An entry of ``matrix`` is the amplitude at its remaining output bits
     when its pass-through output bits equal the same qubits' input bits,
     and zero otherwise.  With no pass-through qubits the two coincide.
+    Instances are equal only to themselves.
     """
 
-    amplitudes: np.ndarray
-    output_qubits: tuple[int, ...]
-    input_qubits: tuple[int, ...]
-    passthrough: tuple[int, ...] = ()
+    _fields = ("amplitudes", "output_qubits", "input_qubits", "passthrough")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        amplitudes: np.ndarray,
+        output_qubits: tuple[int, ...],
+        input_qubits: tuple[int, ...],
+        passthrough: tuple[int, ...] = (),
+    ) -> None:
         import numpy as np
+
+        d = self.__dict__
+        d["amplitudes"] = amplitudes
+        d["output_qubits"] = output_qubits
+        d["input_qubits"] = input_qubits
+        d["passthrough"] = passthrough
 
         through = set(self.passthrough)
         both = set(self.output_qubits) & set(self.input_qubits)

@@ -726,10 +726,12 @@ class TestFlowSerialization:
         assert dump_flow(geom, flow, cover) == text
 
     def test_float_id_of_cover_rejected(self):
+        # A bool is not a vertex id either, though True == 1.
         geom = path_geometry(3)
         flow = find_causal_flow(geom).flow
-        with pytest.raises(GeometryError, match=r"^unknown vertex 1\.0$"):
-            dump_flow(geom, flow, PathCover(((0, 1.0, 2),)))
+        for bad, message in [(1.0, r"^unknown vertex 1\.0$"), (True, r"^unknown vertex True$")]:
+            with pytest.raises(GeometryError, match=message):
+                dump_flow(geom, flow, PathCover(((0, bad, 2),)))
 
     @pytest.mark.parametrize("bad", [False, True, 1.0, -1])
     def test_bad_rank_refused_as_load_flow_refuses(self, bad):
