@@ -76,9 +76,9 @@ class CliError(ValueError):
 class Report:
     """Collects human-readable lines until the verdict ends the command."""
 
-    def __init__(self, porcelain: bool, lines: list[str] | None = None) -> None:
+    def __init__(self, porcelain: bool) -> None:
         self.porcelain = porcelain
-        self.lines = [] if lines is None else lines
+        self.lines: list[str] = []
 
     def say(self, *lines: str) -> None:
         if not self.porcelain:

@@ -20,11 +20,12 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from typing import Collection, Iterable, Literal
+from typing import Iterable, Literal
 
 from flowscope.geometry import (
     Geometry,
     GeometryError,
+    _first_bad,
     _gc_paused,
     _Record,
     json_block,
@@ -227,25 +228,6 @@ def _check_flow(geom: Geometry, flow: CausalFlow) -> None:
         raise FlowDomainError(f"ranks[{names[bad]!r}]: expected a non-negative integer")
 
 
-def _first_bad(values: Collection[object], bound: int | None = None) -> int | None:
-    """Position of the first value that is not a non-negative int below ``bound``, or None.
-
-    A bool is not an int here.  The whole collection is tested at once;
-    only a failure walks it.
-    """
-    if (
-        set(map(type, values)) <= {int}
-        and min(values, default=0) >= 0
-        and (bound is None or max(values, default=-1) < bound)
-    ):
-        return None
-    return next(
-        pos
-        for pos, value in enumerate(values)
-        if type(value) is not int or value < 0 or (bound is not None and value >= bound)
-    )
-
-
 def _influence_order(
     geom: Geometry, pairs: Iterable[tuple[int, int]]
 ) -> tuple[tuple[int, ...] | None, tuple[int, ...] | None]:
@@ -324,10 +306,10 @@ def _extract_cycle(adj: tuple[tuple[int, ...], ...], image: list[int | None], la
 
 
 def _candidate_table(geom: Geometry) -> tuple[list[int], list[list[int]]]:
-    allowed = set(geom.non_inputs)
+    inputs = geom.inputs
     measured = list(geom.measured)
     candidates = [
-        [y for y in geom.graph.adjacency[x] if y in allowed] for x in measured
+        [y for y in geom.graph.adjacency[x] if y not in inputs] for x in measured
     ]
     return measured, candidates
 
@@ -519,13 +501,12 @@ def verify_obstruction(geom: Geometry, obstruction: Iterable[int]) -> bool:
     S and the inputs whose only neighbour in S is x.
     """
     n = geom.vertex_count
-    inside = [False] * n
-    for v in obstruction:
-        if not (isinstance(v, int) and 0 <= v < n) or v in geom.outputs:
-            return False
-        inside[v] = True
-    if not any(inside):
+    ids = list(obstruction)
+    if not ids or _first_bad(ids, n) is not None or not geom.outputs.isdisjoint(ids):
         return False
+    inside = [False] * n
+    for v in ids:
+        inside[v] = True
     hits = [0] * n
     for v, nbrs in enumerate(geom.graph.adjacency):
         if inside[v]:

@@ -2,7 +2,9 @@
 
 Vertices are dense integers 0..n-1 everywhere inside the package.  String
 labels exist only at the ingestion and serialization boundary; they are
-carried on the geometry so output stays readable.
+carried on the geometry so output stays readable.  Every id a caller
+hands in obeys the one rule of ``_first_bad``; only ``Graph._from_ends``
+trusts its ids, which its callers resolved themselves.
 
 Each rule is checked once, where the data enters: ``load_geometry``
 checks a file and builds its geometry without running the constructor's
@@ -35,7 +37,7 @@ import json
 from functools import cached_property, wraps
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Iterator
+from typing import Collection, Iterable, Iterator
 
 FILE_KEYS = ("vertices", "edges", "inputs", "outputs")
 
@@ -159,36 +161,34 @@ class Graph(_Record):
     def from_edges(cls, vertex_count: int, edges: Iterable[tuple[int, int]] = ()) -> Graph:
         """Build a graph from unordered vertex pairs, validating simplicity.
 
-        The pairs are flattened into a list of edge ends and handed to
-        ``_from_ends``, the one place that rejects self-loops, duplicate
-        edges and unknown vertices.
+        Whatever the fault (unknown vertex, self-loop or duplicate edge),
+        the first offending edge is the one named.
         """
         if vertex_count < 0:
             raise GeometryError("vertex count must be non-negative")
-        return cls._from_ends(vertex_count, [end for u, v in edges for end in (u, v)])
+        ends = [end for u, v in edges for end in (u, v)]
+        if _first_bad(ends, vertex_count) is not None:
+            _raise_first_bad_edge(vertex_count, ends)
+        return cls._from_ends(vertex_count, ends)
 
     @classmethod
     def _from_ends(cls, n: int, ends: list[int]) -> Graph:
         """Build a graph on ``n >= 0`` vertices from edge ends ``u0, v0, u1, v1, ...``.
 
-        No per-edge object is made.  The graph is simple exactly when no
-        neighbour list holds an entry twice, and a negative end, which
-        indexes the adjacency from its back, is the smallest neighbour of
-        some vertex.  The ends are scanned for the first offending edge
-        only when one of these tests fails or an end fails to index.
+        The ends must be ids in ``range(n)``: they are trusted, because
+        every caller resolved them itself.  No per-edge object is made.
+        The graph is simple exactly when no neighbour list holds an entry
+        twice; the ends are scanned for the first offending edge only when
+        that test fails.
         """
         adj: list[list[int]] = [[] for _ in range(n)]
-        try:
-            pairs = iter(ends)
-            for u, v in zip(pairs, pairs):
-                adj[u].append(v)
-                adj[v].append(u)
-        except (IndexError, TypeError):
-            _raise_first_bad_edge(n, ends)
-            raise
+        pairs = iter(ends)
+        for u, v in zip(pairs, pairs):
+            adj[u].append(v)
+            adj[v].append(u)
         for nbrs in adj:
             nbrs.sort()
-        if sum(map(len, map(set, adj))) != len(ends) or min([nbrs[0] for nbrs in adj if nbrs], default=0) < 0:
+        if sum(map(len, map(set, adj))) != len(ends):
             _raise_first_bad_edge(n, ends)
         return _unchecked(cls, vertex_count=n, adjacency=tuple(map(tuple, adj)), edge_count=len(ends) // 2)
 
@@ -199,17 +199,33 @@ class Graph(_Record):
                 if u < v:
                     yield (u, v)
 
-    def _check_vertex(self, v: int) -> None:
-        if not (isinstance(v, int) and 0 <= v < self.vertex_count):
-            raise GeometryError(f"unknown vertex {v!r}")
+
+def _first_bad(values: Collection[object], bound: int | None = None) -> int | None:
+    """Position of the first value that breaks the vertex-id rule, or None.
+
+    The package's one rule for an id ``v``: ``type(v) is int and 0 <= v <
+    bound``, so a bool is no id; a ``bound`` of None (ranks) has no upper
+    limit.  The collection is tested at once; only a failure walks it.
+    """
+    if (
+        set(map(type, values)) <= {int}
+        and min(values, default=0) >= 0
+        and (bound is None or max(values, default=-1) < bound)
+    ):
+        return None
+    return next(
+        pos
+        for pos, value in enumerate(values)
+        if type(value) is not int or value < 0 or (bound is not None and value >= bound)
+    )
 
 
 def _raise_first_bad_edge(n: int, ends: list[int]) -> None:
-    """Raise EdgeError for the first edge that is not a new pair of distinct known vertices."""
+    """Raise EdgeError for the first edge that is not a new pair of distinct vertex ids."""
     seen: set[tuple[int, int]] = set()
     pairs = iter(ends)
     for pos, (u, v) in enumerate(zip(pairs, pairs)):
-        if not (isinstance(u, int) and isinstance(v, int) and 0 <= u < n and 0 <= v < n):
+        if _first_bad((u, v), n) is not None:
             raise EdgeError(f"edge ({u!r}, {v!r}) references an unknown vertex", pos, "unknown-vertex")
         if u == v:
             raise EdgeError(f"self-loop at vertex {u}", pos, "self-loop")
@@ -243,9 +259,10 @@ class Geometry(_Record):
         d["labels"] = labels
         n = graph.vertex_count
         for name in ("inputs", "outputs"):
-            for v in d[name]:
-                if not (isinstance(v, int) and 0 <= v < n):
-                    raise GeometryError(f"{name} reference unknown vertex {v!r}")
+            ids = tuple(d[name])
+            bad = _first_bad(ids, n)
+            if bad is not None:
+                raise GeometryError(f"{name} reference unknown vertex {ids[bad]!r}")
         if labels is not None:
             labels = d["labels"] = tuple(labels)
             if len(labels) != n:
@@ -271,8 +288,9 @@ class Geometry(_Record):
         return tuple(v for v in range(self.vertex_count) if v not in self.inputs)
 
     def label_of(self, v: int) -> str:
-        self.graph._check_vertex(v)
-        return self._names[v]
+        if type(v) is int and 0 <= v < self.graph.vertex_count:
+            return self._names[v]
+        raise GeometryError(f"unknown vertex {v!r}")
 
     @cached_property
     def _names(self) -> tuple[str, ...]:
@@ -417,9 +435,7 @@ def load_geometry(text: str) -> Geometry:
         a, b = labels[ends[2 * pos]], labels[ends[2 * pos + 1]]
         if exc.fault == "self-loop":
             raise GeometryError(f"edges[{pos}]: self-loop at {a!r}") from None
-        if exc.fault == "duplicate":
-            raise GeometryError(f"edges[{pos}]: duplicate edge {a!r} -- {b!r}") from None
-        raise
+        raise GeometryError(f"edges[{pos}]: duplicate edge {a!r} -- {b!r}") from None
 
     ids_of: dict[str, frozenset[int]] = {}
     for key in ("inputs", "outputs"):

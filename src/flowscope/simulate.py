@@ -32,7 +32,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from flowscope.flow import CausalFlow, _check_flow
-from flowscope.geometry import Geometry, _Record
+from flowscope.geometry import Geometry, _first_bad, _Record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -63,17 +63,18 @@ class MeasurementPattern(_Record):
         d["geometry"] = geometry
         d["flow"] = flow
         angles = d["angles"] = dict(angles)
-        measured = set(self.geometry.measured)
-        if angles.keys() != measured:
-            label_of = self.geometry.label_of
-            missing = [v for v in self.geometry.measured if v not in angles]
+        measured = set(geometry.measured)
+        # A bool or float key equal to a measured id passes the set test alone.
+        if angles.keys() != measured or _first_bad(angles.keys(), geometry.vertex_count) is not None:
+            label_of = geometry.label_of
+            missing = [v for v in geometry.measured if v not in angles]
             if missing:
                 raise ValueError(f"missing angle for measured vertex {label_of(missing[0])!r}")
-            extra = next(v for v in angles if v not in measured)
+            extra = next(v for v in angles if v not in measured or type(v) is not int)
             raise ValueError(f"angle given for unmeasured vertex {label_of(extra)!r}")
         for v, theta in sorted(angles.items()):
             if not math.isfinite(theta):
-                label = self.geometry.label_of(v)
+                label = geometry.label_of(v)
                 raise ValueError(f"angle {theta} for vertex {label!r} is not finite")
 
 

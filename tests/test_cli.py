@@ -8,9 +8,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from flowscope import CausalFlow, FlowSearchResult, Geometry, Graph, PathCover, SuccessorFunction, cli
+from flowscope import (
+    CausalFlow,
+    FlowSearchResult,
+    Geometry,
+    Graph,
+    LinearMap,
+    PathCover,
+    SuccessorFunction,
+    cli,
+)
 from flowscope.cli import main
 
 from .conftest import SIX_CYCLE_TEXT
@@ -427,6 +437,35 @@ class TestSimulateAndOrder:
         assert verdict_line(out) == "VERDICT: error reason=input"
         assert err == "error: instance has 13 qubits; simulation bound is 12\n"
         assert len(calls) == 1
+
+    def test_max_qubits_sets_the_cap(self, capsys, tmp_path, path_file):
+        flow_file = tmp_path / "f.json"
+        run_cli(capsys, "find-flow", path_file, "--out", str(flow_file))
+        code, out, err = run_cli(
+            capsys, "simulate", path_file, str(flow_file), "--random-angles", "1", "--max-qubits", "2"
+        )
+        assert code == 2
+        assert verdict_line(out) == "VERDICT: error reason=input"
+        assert err == "error: instance has 3 qubits; simulation bound is 2\n"
+
+        geom_file = tmp_path / "g.json"
+        run_cli(capsys, "gen-extremal", "--partition", "13", "--out", str(geom_file))
+        run_cli(capsys, "find-flow", str(geom_file), "--out", str(flow_file))
+        code, out, _ = run_cli(
+            capsys, "simulate", str(geom_file), str(flow_file), "--random-angles", "1", "--max-qubits", "13"
+        )
+        assert code == 0
+        assert verdict_line(out).startswith("VERDICT: property-holds reason=isometry")
+
+    def test_zero_map_fails_the_certificate(self, capsys, tmp_path, path_file, monkeypatch):
+        flow_file = tmp_path / "f.json"
+        run_cli(capsys, "find-flow", path_file, "--out", str(flow_file))
+        zero = LinearMap(np.zeros((2, 2), dtype=complex), (2,), (0,))
+        monkeypatch.setattr(cli, "simulate_postselected", lambda pattern, max_qubits: zero)
+        code, out, _ = run_cli(capsys, "simulate", path_file, str(flow_file), "--random-angles", "3")
+        assert code == 1
+        assert "draw 0: map is zero" in out.splitlines()
+        assert verdict_line(out) == "VERDICT: property-fails reason=certificate defect=zero-map"
 
     def test_missing_angle_exits_2(self, capsys, tmp_path, path_file):
         flow_file = tmp_path / "f.json"

@@ -254,6 +254,8 @@ class TestGeometryErrors:
             ([(0, 1), (1, -1)], r"^edge \(1, -1\) references an unknown vertex$", 1, "unknown-vertex"),
             ([(1, 2), (0, -3)], r"^edge \(0, -3\) references an unknown vertex$", 1, "unknown-vertex"),
             ([(0, 1), (2, -1)], r"^edge \(2, -1\) references an unknown vertex$", 1, "unknown-vertex"),
+            ([(0, 1), (True, 2)], r"^edge \(True, 2\) references an unknown vertex$", 1, "unknown-vertex"),
+            ([(1, 1), (0, 7)], r"^self-loop at vertex 1$", 0, "self-loop"),
         ],
     )
     def test_from_edges_is_the_one_check(self, edges, message, position, fault):

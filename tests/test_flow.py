@@ -625,7 +625,7 @@ class TestObstruction:
         assert not verify_obstruction(six_cycle, (0, 1, 2, 3))
         assert not verify_obstruction(six_cycle, (0, 1, 2, 6))
 
-    @pytest.mark.parametrize("bad", [1.0, "1"])
+    @pytest.mark.parametrize("bad", [1.0, "1", True])
     def test_non_int_ids_fail(self, six_cycle, bad):
         assert verify_obstruction(six_cycle, (0, 1, 2))
         assert not verify_obstruction(six_cycle, (0, bad, 2))

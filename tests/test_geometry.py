@@ -96,14 +96,15 @@ class TestGraph:
 
     def test_unknown_vertex(self):
         geom = Geometry(Graph.from_edges(2, [(0, 1)]), frozenset(), frozenset())
-        with pytest.raises(GeometryError, match="unknown vertex"):
-            geom.label_of(5)
+        for v in (5, -1, True, False):
+            with pytest.raises(GeometryError, match=f"^unknown vertex {v!r}$"):
+                geom.label_of(v)
 
     def test_bad_edge_endpoint(self):
         with pytest.raises(GeometryError, match="unknown vertex"):
             Graph.from_edges(2, [(0, 7)])
 
-    @pytest.mark.parametrize("bad", [1.0, "1"])
+    @pytest.mark.parametrize("bad", [1.0, "1", True])
     def test_non_int_edge_end(self, bad):
         with pytest.raises(EdgeError, match="references an unknown vertex") as info:
             Graph.from_edges(3, [(0, 2), (0, bad)])
@@ -128,8 +129,11 @@ class TestGeometryModel:
 
     def test_unknown_input_vertex(self):
         g = Graph.from_edges(2, [(0, 1)])
-        with pytest.raises(GeometryError):
-            Geometry(g, frozenset({9}), frozenset())
+        for v in (9, True, False):
+            with pytest.raises(GeometryError, match=f"^inputs reference unknown vertex {v!r}$"):
+                Geometry(g, frozenset({v}), frozenset())
+        with pytest.raises(GeometryError, match="^outputs reference unknown vertex True$"):
+            Geometry(g, frozenset({0}), frozenset({True}))
 
     @pytest.mark.parametrize(
         "labels, message",
@@ -145,10 +149,11 @@ class TestGeometryModel:
             Geometry(g, frozenset(), frozenset(), labels)
         assert str(exc.value) == message
 
-    def test_label_of_a_bool_is_its_id_label(self):
-        # dump_flow writes the id True as the label of vertex 1; label_of agrees.
+    def test_label_of_a_bool_is_unknown(self):
+        # A bool is not a vertex id, though True == 1 and indexes like it.
         geom = Geometry(Graph.from_edges(2, [(0, 1)]), frozenset(), frozenset())
-        assert geom.label_of(True) == "1"
+        with pytest.raises(GeometryError, match="^unknown vertex True$"):
+            geom.label_of(True)
         assert geom.label_of(1) == "1"
 
     def test_labels_indexed_on_construction(self):

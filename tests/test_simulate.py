@@ -126,6 +126,8 @@ class TestSimulatePostselected:
             ({0: 0.0}, "missing angle for measured vertex '1'"),
             ({2: 0.0, 0: 0.0, 1: 0.0}, "angle given for unmeasured vertex '2'"),
             ({0: 0.0, 1: 0.0, 2: 0.0}, "angle given for unmeasured vertex '2'"),
+            ({0: 0.0, True: 0.0}, "unknown vertex True"),
+            ({0: 0.0, 1.0: 0.0}, "unknown vertex 1.0"),
         ],
     )
     def test_angle_domain_names_first_offender(self, angles, message):
