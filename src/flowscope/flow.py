@@ -305,15 +305,6 @@ def _extract_cycle(adj: tuple[tuple[int, ...], ...], image: list[int | None], la
         cur = prev
 
 
-def _candidate_table(geom: Geometry) -> tuple[list[int], list[list[int]]]:
-    inputs = geom.inputs
-    measured = list(geom.measured)
-    candidates = [
-        [y for y in geom.graph.adjacency[x] if y not in inputs] for x in measured
-    ]
-    return measured, candidates
-
-
 def _splice_orbits(vertex_count: int, succ: dict[int, int]) -> tuple[tuple[int, ...], ...] | None:
     """Chain f into paths; None when f is not injective or some orbit closes into a cycle."""
     image = set(succ.values())
@@ -537,39 +528,40 @@ def brute_force_flow(geom: Geometry, *, bound: int = DEFAULT_ORACLE_BOUND) -> Ca
     """Exhaustive oracle: try every injective f along edges, smallest first.
 
     Independent of the greedy pipeline on purpose: it shares only the
-    candidate table and the final ranking with it.  Measured vertices
-    take partners in ascending order, each trying its candidates in
-    ascending order, and the first complete acyclic assignment wins.
+    final ranking with it.  Measured vertices take partners in ascending
+    order, each trying its neighbours outside the inputs in ascending
+    order, and the first complete acyclic assignment wins.
     Partial assignments whose digraph has a cycle are pruned, which is
     sound because extending f only adds arcs.  The arcs of a placed u are
     f(u) and the other neighbours of f(u), so f alone holds them.  They
     are acyclic and the new ones all leave x, so giving x a partner closes
     a cycle exactly when one DFS from the new arcs' targets reaches x.
-    The levels keep their next candidate index in one list, not on the
-    call stack, so the search depth is limited only by memory.  The
+    The levels keep their next index into ``adj[x]`` in one list, not on
+    the call stack, so the search depth is limited only by memory.  The
     flow's ranks are longest-path ranks, from ``_influence_order``.
     """
     n = geom.vertex_count
     if n > bound:
         raise OracleBoundError(f"instance has {n} vertices; oracle bound is {bound}")
-    measured, candidates = _candidate_table(geom)
+    measured = geom.measured
+    inputs = geom.inputs
     adj = geom.graph.adjacency
     image = [-1] * n  # f(u) of each placed u
     used = [False] * n
     seen = [0] * n  # visit stamp of the last cycle test that reached each vertex
     stamp = 0
     levels = len(measured)
-    nxt = [0] * levels  # next candidate index per level
+    nxt = [0] * levels  # next index into adj[x] per level
     i = 0
     while 0 <= i < levels:
         x = measured[i]
         if image[x] >= 0:  # back from level i + 1: release x's partner
             used[image[x]] = False
             image[x] = -1
-        cands = candidates[i]
-        for j in range(nxt[i], len(cands)):
-            y = cands[j]
-            if used[y]:
+        nbrs = adj[x]
+        for j in range(nxt[i], len(nbrs)):
+            y = nbrs[j]
+            if used[y] or y in inputs:
                 continue
             stamp += 1
             stack = [y, *adj[y]]
@@ -590,7 +582,7 @@ def brute_force_flow(geom: Geometry, *, bound: int = DEFAULT_ORACLE_BOUND) -> Ca
                 nxt[i] = j + 1
                 i += 1
                 break
-        else:  # candidates exhausted: back to level i - 1
+        else:  # neighbours exhausted: back to level i - 1
             nxt[i] = 0
             i -= 1
     if i < 0:

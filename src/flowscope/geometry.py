@@ -164,8 +164,12 @@ class Graph(_Record):
         Whatever the fault (unknown vertex, self-loop or duplicate edge),
         the first offending edge is the one named.
         """
-        if vertex_count < 0:
-            raise GeometryError("vertex count must be non-negative")
+        if _first_bad((vertex_count,)) is not None:
+            raise GeometryError(
+                "vertex count must be non-negative"
+                if type(vertex_count) is int
+                else f"vertex count must be an int, not {vertex_count!r}"
+            )
         ends = [end for u, v in edges for end in (u, v)]
         if _first_bad(ends, vertex_count) is not None:
             _raise_first_bad_edge(vertex_count, ends)
@@ -281,11 +285,6 @@ class Geometry(_Record):
     def measured(self) -> tuple[int, ...]:
         """Vertices outside the output set, ascending."""
         return tuple(v for v in range(self.vertex_count) if v not in self.outputs)
-
-    @cached_property
-    def non_inputs(self) -> tuple[int, ...]:
-        """Vertices outside the input set, ascending."""
-        return tuple(v for v in range(self.vertex_count) if v not in self.inputs)
 
     def label_of(self, v: int) -> str:
         if type(v) is int and 0 <= v < self.graph.vertex_count:

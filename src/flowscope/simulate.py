@@ -195,7 +195,7 @@ def simulate_postselected(pattern: MeasurementPattern, *, max_qubits: int = DEFA
 
     inputs = sorted(geom.inputs)
     measured = [q for q in geom.measured if q not in geom.inputs]
-    kept = [q for q in geom.non_inputs if q in geom.outputs]
+    kept = sorted(geom.outputs - geom.inputs)
     r = len(measured) + len(kept)
     register = measured + kept + inputs
     adjacency = np.zeros((n, n))

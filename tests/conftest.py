@@ -57,6 +57,11 @@ def geometries(draw, max_vertices: int = 6) -> Geometry:
     return Geometry(Graph.from_edges(n, edges), inputs, outputs)
 
 
+def candidate_lists(geom: Geometry) -> list[list[int]]:
+    """Each measured vertex's possible partners: its neighbours outside the inputs, ascending."""
+    return [[y for y in geom.graph.adjacency[x] if y not in geom.inputs] for x in geom.measured]
+
+
 def saturating_assignments(candidates):
     """Every choice of distinct candidates, one per position, lexicographically."""
     for choice in product(*candidates):
@@ -72,9 +77,7 @@ def no_flow_reason_fault(geom: Geometry, result) -> str | None:
     outside the inputs; a "cyclic-D" cycle must be a closed walk of the
     influencing digraph of one such assignment.
     """
-    allowed = set(geom.non_inputs)
-    candidates = [[y for y in geom.graph.adjacency[x] if y in allowed] for x in geom.measured]
-    assignments = saturating_assignments(candidates)
+    assignments = saturating_assignments(candidate_lists(geom))
     if result.reason == "no-cover":
         if geom.output_count and next(assignments, None) is not None:
             return "no-cover, but a saturating assignment exists"
@@ -101,9 +104,7 @@ def first_path_cover(geom: Geometry) -> PathCover | None:
         return PathCover(())
     if geom.output_count == 0:
         return None
-    allowed = set(geom.non_inputs)
-    candidates = [[y for y in geom.graph.adjacency[x] if y in allowed] for x in geom.measured]
-    for assignment in saturating_assignments(candidates):
+    for assignment in saturating_assignments(candidate_lists(geom)):
         paths = _splice_orbits(n, dict(zip(geom.measured, assignment)))
         if paths is not None:
             return PathCover(paths)

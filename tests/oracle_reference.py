@@ -2,15 +2,17 @@
 
 At every node of its search it rebuilds the whole influencing digraph of
 the partial assignment and runs a colouring DFS over it, and it recurses
-once per measured vertex, so it is only usable at small n.  It shares
-the candidate table and the final ranking with ``flowscope.flow``, as the
-package's oracle does, and nothing else.
+once per measured vertex, so it is only usable at small n.  Its candidate
+partners come from ``tests.conftest.candidate_lists``; it shares only the
+final ranking with ``flowscope.flow``, as the package's oracle does.
 """
 
 from __future__ import annotations
 
 from flowscope import CausalFlow, Geometry, OracleBoundError, SuccessorFunction
-from flowscope.flow import DEFAULT_ORACLE_BOUND, _candidate_table, _influence_order
+from flowscope.flow import DEFAULT_ORACLE_BOUND, _influence_order
+
+from .conftest import candidate_lists
 
 
 def reference_brute_force_flow(geom: Geometry, *, bound: int = DEFAULT_ORACLE_BOUND) -> CausalFlow | None:
@@ -24,7 +26,7 @@ def reference_brute_force_flow(geom: Geometry, *, bound: int = DEFAULT_ORACLE_BO
         raise OracleBoundError(f"instance has {n} vertices; oracle bound is {bound}")
     if n == 0:
         return CausalFlow(SuccessorFunction(()), ())
-    measured, candidates = _candidate_table(geom)
+    measured, candidates = geom.measured, candidate_lists(geom)
     adj = geom.graph.adjacency
     succ: dict[int, int] = {}
     used: set[int] = set()

@@ -36,6 +36,7 @@ from flowscope import (
 from flowscope.flow import _influence_order, _splice_orbits
 
 from .conftest import (
+    candidate_lists,
     check_cover,
     first_path_cover,
     geometries,
@@ -149,10 +150,8 @@ def counting_geometry(geom: Geometry) -> tuple[Geometry, list[int]]:
 
 def exhaustive_min_depth(geom: Geometry) -> int | None:
     """Least depth over every flow of the geometry, or None without one."""
-    allowed = set(geom.non_inputs)
-    candidates = [[y for y in geom.graph.adjacency[x] if y in allowed] for x in geom.measured]
     best = None
-    for assignment in saturating_assignments(candidates):
+    for assignment in saturating_assignments(candidate_lists(geom)):
         ranks, _ = influence_order(geom, zip(geom.measured, assignment))
         if ranks is not None:
             depth = max(ranks, default=0)

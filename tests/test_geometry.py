@@ -114,6 +114,11 @@ class TestGraph:
         with pytest.raises(GeometryError, match="^vertex count must be non-negative$"):
             Graph.from_edges(-1)
 
+    @pytest.mark.parametrize("bad", [True, 2.5])
+    def test_non_int_vertex_count_rejected(self, bad):
+        with pytest.raises(GeometryError, match=f"^vertex count must be an int, not {bad!r}$"):
+            Graph.from_edges(bad, [(0, 1)])
+
     def test_edges_iteration_sorted(self):
         g = Graph.from_edges(4, [(2, 3), (0, 2), (0, 1)])
         assert list(g.edges()) == [(0, 1), (0, 2), (2, 3)]
@@ -124,7 +129,6 @@ class TestGeometryModel:
         g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
         geom = Geometry(g, frozenset({0, 1}), frozenset({3}))
         assert geom.measured == (0, 1, 2)
-        assert geom.non_inputs == (2, 3)
         assert geom.output_count == 1
 
     def test_unknown_input_vertex(self):
