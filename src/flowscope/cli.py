@@ -161,11 +161,14 @@ def cmd_find_flow(args: argparse.Namespace) -> int:
 
 
 def _certificate_holds(geom: Geometry, result: FlowSearchResult) -> bool:
-    """Whether a found flow passes ``verify_flow`` and an obstruction ``verify_obstruction``."""
+    """Whether a verdict's certificate holds: its flow, its edge count or its obstruction."""
     try:
         if result.status == "found":
             return verify_flow(geom, result.flow).ok
-        return result.reason in ("edge-bound", "oracle") or verify_obstruction(geom, result.obstruction or ())
+        if result.reason == "edge-bound":
+            k = geom.output_count
+            return k >= 1 and geom.graph.edge_count > gamma(geom.vertex_count, k)
+        return result.reason == "oracle" or verify_obstruction(geom, result.obstruction or ())
     except FlowDomainError:
         return False
 

@@ -161,8 +161,8 @@ class Graph(_Record):
     def from_edges(cls, vertex_count: int, edges: Iterable[tuple[int, int]] = ()) -> Graph:
         """Build a graph from unordered vertex pairs, validating simplicity.
 
-        Whatever the fault (unknown vertex, self-loop or duplicate edge),
-        the first offending edge is the one named.
+        Every edge must be a pair; for any other fault (unknown vertex,
+        self-loop or duplicate edge), the first offending edge is named.
         """
         if _first_bad((vertex_count,)) is not None:
             raise GeometryError(
@@ -170,7 +170,10 @@ class Graph(_Record):
                 if type(vertex_count) is int
                 else f"vertex count must be an int, not {vertex_count!r}"
             )
-        ends = [end for u, v in edges for end in (u, v)]
+        try:
+            ends = [end for u, v in edges for end in (u, v)]
+        except (TypeError, ValueError):
+            raise GeometryError("every edge must be a pair of vertex ids") from None
         if _first_bad(ends, vertex_count) is not None:
             _raise_first_bad_edge(vertex_count, ends)
         return cls._from_ends(vertex_count, ends)

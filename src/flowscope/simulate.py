@@ -151,13 +151,6 @@ def _basis_bits(width: int) -> np.ndarray:
     return ((np.arange(1 << width)[:, None] >> np.arange(width - 1, -1, -1)) & 1).astype(float)
 
 
-def _edge_parity(bits: np.ndarray, adjacency: np.ndarray) -> np.ndarray:
-    """Per row of ``bits``, the number of edges of ``adjacency`` with both ends 1."""
-    import numpy as np
-
-    return np.sum((bits @ np.triu(adjacency)) * bits, axis=1)
-
-
 def measurement_order(flow: CausalFlow) -> list[int]:
     """Measured vertices by ascending rank, ties broken by vertex id.
 
@@ -197,19 +190,19 @@ def simulate_postselected(pattern: MeasurementPattern, *, max_qubits: int = DEFA
     measured = [q for q in geom.measured if q not in geom.inputs]
     kept = sorted(geom.outputs - geom.inputs)
     r = len(measured) + len(kept)
-    register = measured + kept + inputs
-    adjacency = np.zeros((n, n))
-    for u, v in geom.graph.edges():
-        adjacency[u, v] = adjacency[v, u] = 1.0
-    adjacency = adjacency[np.ix_(register, register)]
     # The CZ sign of basis state (row, col) is the parity of the edges
-    # with both ends 1: those among the row bits, those among the column
-    # bits, and the bilinear row-column term.
+    # with both ends 1: among the row bits, among the column bits, and
+    # across.  `upper` holds each edge once, at (earlier, later) register
+    # position; row qubits come first, so no row-column edge is lost.
+    at = {q: i for i, q in enumerate(measured + kept + inputs)}
+    upper = np.zeros((n, n))
+    for u, v in geom.graph.edges():
+        upper[min(at[u], at[v]), max(at[u], at[v])] = 1.0
     row_bits, col_bits = _basis_bits(r), _basis_bits(len(inputs))
     parity = (
-        _edge_parity(row_bits, adjacency[:r, :r])[:, None]
-        + _edge_parity(col_bits, adjacency[r:, r:])[None, :]
-        + row_bits @ adjacency[:r, r:] @ col_bits.T
+        np.sum((row_bits @ upper[:r, :r]) * row_bits, axis=1)[:, None]
+        + np.sum((col_bits @ upper[r:, r:]) * col_bits, axis=1)[None, :]
+        + row_bits @ upper[:r, r:] @ col_bits.T
     )
 
     # Projecting q onto its rotated plus state keeps the branch where q's

@@ -334,12 +334,13 @@ class TestInternalErrors:
         [
             FlowSearchResult("no-flow", reason="cyclic-D", cycle=(0, 1, 2), obstruction=(0, 1, 3)),
             FlowSearchResult("no-flow", reason="no-cover"),
+            FlowSearchResult("no-flow", reason="edge-bound"),
             FlowSearchResult(
                 "found", flow=CausalFlow(SuccessorFunction.from_pairs([(0, 3), (1, 4), (2, 5)]), (0,) * 6)
             ),
             FlowSearchResult("found", flow=CausalFlow(SuccessorFunction.from_pairs([(0, 3)]), (0,) * 6)),
         ],
-        ids=["bad-obstruction", "no-obstruction", "flow-fails", "flow-off-domain"],
+        ids=["bad-obstruction", "no-obstruction", "edges-within-gamma", "flow-fails", "flow-off-domain"],
     )
     def test_find_flow_checks_its_certificate(self, capsys, monkeypatch, six_cycle_file, result):
         monkeypatch.setattr(cli, "find_causal_flow", lambda geom: result)

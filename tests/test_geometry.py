@@ -110,6 +110,11 @@ class TestGraph:
             Graph.from_edges(3, [(0, 2), (0, bad)])
         assert (info.value.position, info.value.fault) == (1, "unknown-vertex")
 
+    @pytest.mark.parametrize("bad", [(0, 1, 2), None, (0,)], ids=["triple", "none", "single"])
+    def test_edge_not_a_pair_rejected(self, bad):
+        with pytest.raises(GeometryError, match="^every edge must be a pair of vertex ids$"):
+            Graph.from_edges(3, [(0, 1), bad])
+
     def test_negative_vertex_count_rejected(self):
         with pytest.raises(GeometryError, match="^vertex count must be non-negative$"):
             Graph.from_edges(-1)

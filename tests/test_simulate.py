@@ -29,7 +29,7 @@ from flowscope import (
     simulate_postselected,
 )
 
-from .conftest import path_geometry
+from .conftest import path_geometry, relabel
 from .dense_reference import dense_defect, dense_simulate
 from .test_acceptance import iter_partitions
 from .test_flow import forced_six_cycle_flow, random_geometry
@@ -290,6 +290,30 @@ class TestAgainstDenseReference:
             flow = flow_measuring_in(forced_six_cycle_flow(), list(schedule))
             assert measurement_order(flow) == list(schedule)
             assert_matches_dense_reference(six_cycle, flow, rng)
+
+
+def test_relabelling_leaves_the_map_unchanged_up_to_12():
+    # Relabelling changes every qubit's register position; the dense map
+    # must only have its qubit axes permuted.
+    rng, angle_rng = random.Random(31), np.random.default_rng(31)
+    for n in range(9, 13):
+        for parts in iter_partitions(n):
+            if len(parts) > 4:
+                continue
+            geom, _ = generate_extremal(ExtremalPartition(parts))
+            perm = rng.sample(range(n), n)
+            moved = relabel(geom, perm)
+            angles = draw_angles(geom.measured, angle_rng)
+            vmap = simulate_postselected(MeasurementPattern(geom, find_causal_flow(geom).flow, angles))
+            moved_angles = {perm[v]: theta for v, theta in angles.items()}
+            moved_map = simulate_postselected(MeasurementPattern(moved, find_causal_flow(moved).flow, moved_angles))
+            # The moved map's qubit axes follow the new labels; put them
+            # back in the order of the old ones.
+            outs = [moved_map.output_qubits.index(perm[q]) for q in vmap.output_qubits]
+            ins = [len(outs) + moved_map.input_qubits.index(perm[q]) for q in vmap.input_qubits]
+            tensor = moved_map.matrix.reshape((2,) * (len(outs) + len(ins)))
+            back = tensor.transpose(outs + ins).reshape(vmap.matrix.shape)
+            assert np.max(np.abs(back - vmap.matrix)) < 1e-12
 
 
 def test_all_ones_n12_stays_compact():
