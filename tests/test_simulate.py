@@ -28,6 +28,7 @@ from flowscope import (
     measurement_order,
     simulate_postselected,
 )
+from flowscope.simulate import _basis_bits
 
 from .conftest import path_geometry, relabel
 from .dense_reference import dense_defect, dense_simulate
@@ -284,6 +285,13 @@ class TestAgainstDenseReference:
             assert_matches_dense_reference(geom, res.flow, angle_rng)
         assert checked >= 100
 
+    # At the 12-qubit cap: one 64 x 64 Gram block, 16 of 4 x 4 and 8 of
+    # 16 x 16, so batched matmul runs on single and stacked blocks.
+    @pytest.mark.parametrize("parts", [(2, 2, 2, 2, 2, 2), (1, 1, 1, 1, 4, 4), (1, 1, 1, 2, 2, 2, 3)])
+    def test_partitions_at_the_qubit_cap(self, parts):
+        geom, _ = generate_extremal(ExtremalPartition(parts))
+        assert_matches_dense_reference(geom, find_causal_flow(geom).flow, np.random.default_rng(14))
+
     def test_forced_six_cycle_flow_under_every_schedule(self, six_cycle):
         rng = np.random.default_rng(13)
         for schedule in permutations([0, 1, 2]):
@@ -332,6 +340,19 @@ def test_all_ones_n12_stays_compact():
     assert "matrix" not in vars(vmap)
     assert defect < 1e-9
     assert peak < 32 * 2**20
+
+
+def test_basis_bit_tables_are_shared_read_only():
+    # Every draw reads the same cached tables, so none may write into them.
+    geom, _ = generate_extremal(ExtremalPartition((2, 3, 3)))
+    angles = draw_angles(geom.measured, np.random.default_rng(22))
+    pattern = MeasurementPattern(geom, find_causal_flow(geom).flow, angles)
+    first = simulate_postselected(pattern)
+    assert np.array_equal(simulate_postselected(pattern).amplitudes, first.amplitudes)
+    bits = _basis_bits(5)
+    assert _basis_bits(5) is bits
+    with pytest.raises(ValueError):
+        bits[0, 0] = 1.0
 
 
 def test_draw_angles_deterministic_given_seed():
