@@ -24,6 +24,7 @@ from flowscope.flow import (
     FlowFormatError,
     FlowSearchResult,
     OracleBoundError,
+    _exceeds_gamma,
     brute_force_flow,
     dump_flow,
     find_causal_flow,
@@ -115,9 +116,8 @@ def cmd_check_bound(args: argparse.Namespace) -> int:
     n, k, m = geom.vertex_count, geom.output_count, geom.graph.edge_count
     if k == 0:
         raise CliError("edge bound needs at least one output vertex")
-    bound = gamma(n, k)
-    report.say(f"n = {n}", f"k = {k}", f"m = {m}", f"gamma({n}, {k}) = {bound}")
-    if m <= bound:
+    report.say(f"n = {n}", f"k = {k}", f"m = {m}", f"gamma({n}, {k}) = {gamma(n, k)}")
+    if not _exceeds_gamma(geom):
         report.say("bound check: pass (m <= gamma)")
         return report.finish("property-holds", reason="edge-bound")
     report.say("bound check: reject (m > gamma, no causal flow can exist)")
@@ -166,8 +166,7 @@ def _certificate_holds(geom: Geometry, result: FlowSearchResult) -> bool:
         if result.status == "found":
             return verify_flow(geom, result.flow).ok
         if result.reason == "edge-bound":
-            k = geom.output_count
-            return k >= 1 and geom.graph.edge_count > gamma(geom.vertex_count, k)
+            return _exceeds_gamma(geom)
         return result.reason == "oracle" or verify_obstruction(geom, result.obstruction or ())
     except FlowDomainError:
         return False
@@ -219,7 +218,7 @@ def cmd_gen_extremal(args: argparse.Namespace) -> int:
 
 
 def _parse_angle_args(geom: Geometry, raw_args: list[str]) -> dict[int, float]:
-    """Angles by vertex id; ``MeasurementPattern`` checks that they fit the measured set."""
+    """Angles by vertex id, each label at most once; ``MeasurementPattern`` checks that they fit the measured set."""
     angles: dict[int, float] = {}
     for raw in raw_args:
         for item in raw.split(","):
@@ -233,7 +232,10 @@ def _parse_angle_args(geom: Geometry, raw_args: list[str]) -> dict[int, float]:
                 theta = float(value)
             except ValueError:
                 raise CliError(f"bad angle value in {item!r}") from None
-            angles[geom.id_of(label.strip())] = theta
+            v = geom.id_of(label.strip())
+            if v in angles:
+                raise CliError(f"angle for {label.strip()!r} given twice")
+            angles[v] = theta
     return angles
 
 
@@ -321,8 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", parents=[common], help="post-selected isometry check")
     p.add_argument("geometry")
     p.add_argument("flow")
-    p.add_argument("--angles", action="append", default=[], help="label=radians pairs, comma separated")
-    p.add_argument("--random-angles", type=int, default=0, metavar="N", help="number of random draws")
+    angles = p.add_mutually_exclusive_group()
+    angles.add_argument("--angles", action="append", default=[], help="label=radians pairs, comma separated")
+    angles.add_argument("--random-angles", type=int, metavar="N", help="number of random draws")
     p.add_argument("--seed", type=int, default=0, help="seed for --random-angles")
     p.add_argument("--dump-map", action="store_true", help="print the map, row major, 15 digits")
     p.add_argument("--max-qubits", type=int, default=DEFAULT_QUBIT_BOUND, help="simulation size cap")

@@ -165,6 +165,12 @@ def gamma(n: int, k: int) -> int:
     return k * n - k * (k + 1) // 2
 
 
+def _exceeds_gamma(geom: Geometry) -> bool:
+    """The paper's edge gate: with k >= 1 outputs, more than gamma(n, k) edges rule out every flow."""
+    k = geom.output_count
+    return k >= 1 and geom.graph.edge_count > gamma(geom.vertex_count, k)
+
+
 def verify_flow(geom: Geometry, flow: CausalFlow) -> FlowCheck:
     """Check the three flow conditions against a geometry.
 
@@ -396,8 +402,7 @@ def find_causal_flow(geom: Geometry) -> FlowSearchResult:
     otherwise "cyclic-D" with a cycle of the completed matching's
     influencing digraph.
     """
-    k = geom.output_count
-    if k >= 1 and geom.graph.edge_count > gamma(geom.vertex_count, k):
+    if _exceeds_gamma(geom):
         return FlowSearchResult("no-flow", reason="edge-bound")
 
     succ, layer, unprocessed = _backward_greedy(geom)
@@ -408,7 +413,7 @@ def find_causal_flow(geom: Geometry) -> FlowSearchResult:
 
     obstruction = tuple(unprocessed)
     # With k = 0, k paths must cover n > 0 vertices; impossible with zero paths.
-    if k == 0 or not _complete_matching(geom, succ, unprocessed):
+    if geom.output_count == 0 or not _complete_matching(geom, succ, unprocessed):
         return FlowSearchResult("no-flow", reason="no-cover", obstruction=obstruction)
     _ranks, cycle = _influence_order(geom, list(succ.items()))
     if cycle is None:
@@ -513,9 +518,7 @@ def flow_from_cover(geom: Geometry, cover: PathCover) -> FlowSearchResult:
     The cover is trusted (callers such as the extremal generator produce
     valid ones); only the flow conditions themselves are decided here.
     """
-    n = geom.vertex_count
-    k = geom.output_count
-    if k >= 1 and geom.graph.edge_count > gamma(n, k):
+    if _exceeds_gamma(geom):
         return FlowSearchResult("no-flow", reason="edge-bound")
     succ = SuccessorFunction.from_pairs(cover.successor_pairs())
     ranks, cycle = _influence_order(geom, succ.pairs)

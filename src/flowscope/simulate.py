@@ -84,39 +84,29 @@ class LinearMap(_Record):
 
     Rows of ``matrix`` are indexed by the output qubits and columns by the
     input qubits, each in ascending vertex order, most significant bit
-    first.  The map is held compactly: ``passthrough`` lists inputs that
-    are also outputs and that the map leaves in place, and ``amplitudes``
-    has rows over the other output qubits and columns over all inputs.
-    An entry of ``matrix`` is the amplitude at its remaining output bits
-    when its pass-through output bits equal the same qubits' input bits,
-    and zero otherwise.  With no pass-through qubits the two coincide.
-    Instances are equal only to themselves.
+    first.  The map is held compactly.  Every input that is also an
+    output passes through in place; the constructor lists these qubits,
+    in input order, as ``passthrough``.  ``amplitudes`` has rows over the
+    other output qubits and columns over all inputs.  An entry of
+    ``matrix`` is the amplitude at its remaining output bits when its
+    pass-through output bits equal the same qubits' input bits, and zero
+    otherwise.  With no pass-through qubits the two coincide.  Instances
+    are equal only to themselves.
     """
 
-    _fields = ("amplitudes", "output_qubits", "input_qubits", "passthrough")
+    _fields = ("amplitudes", "output_qubits", "input_qubits")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
-    def __init__(
-        self,
-        amplitudes: np.ndarray,
-        output_qubits: tuple[int, ...],
-        input_qubits: tuple[int, ...],
-        passthrough: tuple[int, ...] = (),
-    ) -> None:
+    def __init__(self, amplitudes: np.ndarray, output_qubits: tuple[int, ...], input_qubits: tuple[int, ...]) -> None:
         import numpy as np
 
         d = self.__dict__
         d["amplitudes"] = amplitudes
         d["output_qubits"] = output_qubits
         d["input_qubits"] = input_qubits
-        d["passthrough"] = passthrough
-
-        through = set(self.passthrough)
-        both = set(self.output_qubits) & set(self.input_qubits)
-        if len(through) != len(self.passthrough) or not through <= both:
-            raise ValueError("pass-through qubits must be distinct outputs that are also inputs")
-        expected = (1 << (len(self.output_qubits) - len(through)), 1 << len(self.input_qubits))
+        through = d["passthrough"] = tuple(q for q in input_qubits if q in output_qubits)
+        expected = (1 << (len(output_qubits) - len(through)), 1 << len(input_qubits))
         if self.amplitudes.shape != expected:
             raise ValueError(f"amplitude shape {self.amplitudes.shape} does not match {expected}")
         if not np.all(np.isfinite(self.amplitudes)):
@@ -184,8 +174,9 @@ def simulate_postselected(pattern: MeasurementPattern, *, max_qubits: int = DEFA
     non-input qubits first and then the other outputs, each ascending, so
     projecting every measured qubit is one product of a weight per
     measured bit string with the state; the flow's order does not enter.
-    Of the flow conditions only the shape of a flow is checked, as
-    ``verify_flow`` checks it (FlowDomainError).
+    Of the flow only its shape is checked, as ``verify_flow`` checks it
+    (FlowDomainError), and nothing else is read; the returned ``LinearMap``
+    works out its pass-through qubits itself.
     """
     import numpy as np
 
@@ -225,9 +216,7 @@ def simulate_postselected(pattern: MeasurementPattern, *, max_qubits: int = DEFA
     weight = np.exp(-1j * (_basis_bits(len(measured)) @ [pattern.angles[q] for q in measured]))
     state = (weight @ state.reshape(len(weight), -1)).reshape(1 << len(kept), -1)
 
-    outputs = tuple(sorted(geom.outputs))
-    through = tuple(q for q in inputs if q in geom.outputs)
-    return LinearMap(state, outputs, tuple(inputs), through)
+    return LinearMap(state, tuple(sorted(geom.outputs)), tuple(inputs))
 
 
 def isometry_defect(v: LinearMap) -> float:

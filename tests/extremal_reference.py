@@ -7,8 +7,9 @@ n_i + n_j - 1 edges, every arc of the influencing digraph comes from one
 construction rule, no path has a chord and no two paths cross, the
 lexicographic (position, path) order certifies acyclicity, and the
 position sums of the connecting edges between two paths are distinct.
-The unit tests run them at desk sizes and the CI smoke step at n = 40000.
-Not public API.
+``orbit_counting_holds`` checks the counting behind gamma(n, k) on any
+flow, not only on the construction's.  The unit tests run them at desk
+sizes and the CI smoke step at n = 40000.  Not public API.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from __future__ import annotations
 from enum import Enum
 from typing import Iterable, Iterator
 
-from flowscope import ExtremalPartition, Geometry, PathCover
+from flowscope import CausalFlow, ExtremalPartition, Geometry, PathCover
+from flowscope.flow import _splice_orbits
 
 
 def iter_influence_arcs(geom: Geometry, pairs: Iterable[tuple[int, int]]) -> Iterator[tuple[int, int]]:
@@ -177,3 +179,42 @@ def lambda_labels(geom: Geometry, cover: PathCover, i: int, j: int) -> list[int]
             else:
                 pairs.append((pos_of[v], pos_of[u]))
     return [a + b for a, b in sorted(pairs)]
+
+
+def orbit_counting_holds(geom: Geometry, flow: CausalFlow, *, tight: bool = False) -> bool:
+    """Whether a flow obeys the counting that bounds m by gamma(n, k), in O(n + m).
+
+    The orbits of f are the paths x, f(x), f(f(x)), ... from the vertices
+    outside f's image: k = |O| paths that partition the vertices.  Two
+    facts hold for every flow, and are checked here:
+
+    * No orbit has a chord.  Proof: let x_a and x_b, b >= a + 2, be
+      adjacent on one orbit.  x_a is a neighbour of f(x_{b-1}) = x_b other
+      than x_{b-1}, so x_{b-1} comes before x_a; yet x comes before f(x)
+      all along the orbit, so x_a comes before x_{b-1}.
+    * Orbits i and j, of n_i and n_j vertices, share at most n_i + n_j - 1
+      edges: the position sums of their connecting edges are distinct and
+      lie in [2, n_i + n_j] (see ``lambda_labels``).
+
+    Summed over the orbits and their pairs, the two give
+    m <= (n - k) + sum over i < j of (n_i + n_j - 1) = gamma(n, k).  With
+    ``tight``, every pair must share exactly n_i + n_j - 1 edges, as on an
+    extremal geometry, where m = gamma(n, k) forces equality throughout.
+    """
+    path_of, pos_of, lengths = _path_positions(PathCover(_splice_orbits(geom.vertex_count, flow.successor.mapping)))
+    shared: dict[tuple[int, int], int] = {}
+    for u, v in geom.graph.edges():
+        i, j = path_of[u], path_of[v]
+        if i == j:
+            if abs(pos_of[u] - pos_of[v]) != 1:
+                return False
+            continue
+        pair = (i, j) if i < j else (j, i)
+        shared[pair] = shared.get(pair, 0) + 1
+    if any(count > lengths[i] + lengths[j] - 1 for (i, j), count in shared.items()):
+        return False
+    k = len(lengths)
+    return not tight or (
+        len(shared) == k * (k - 1) // 2
+        and all(count == lengths[i] + lengths[j] - 1 for (i, j), count in shared.items())
+    )

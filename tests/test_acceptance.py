@@ -33,7 +33,7 @@ from flowscope import (
 
 from .conftest import SIX_CYCLE_TEXT, first_path_cover, no_flow_reason_fault
 from .digraph_reference import influence_order
-from .extremal_reference import lex_acyclicity_certificate
+from .extremal_reference import lex_acyclicity_certificate, orbit_counting_holds
 
 ANGLE_DRAWS = 20
 # Interleaved timing rounds of criterion 7.
@@ -127,6 +127,8 @@ def test_criterion_2_saturation_sweep(saturation_sweep):
             failures.append((parts, "acyclic_order"))
         if search.status != "found" or not verify_flow(geom, search.flow).ok:
             failures.append((parts, "find_causal_flow"))
+        elif not orbit_counting_holds(geom, search.flow, tight=True):
+            failures.append((parts, "orbit counting"))
     elapsed = build_time + time.perf_counter() - start
     report(
         "2 (saturation sweep)",
@@ -163,6 +165,7 @@ def test_criterion_4_oracle_equivalence(small_geometry_sweep):
     disagreements = 0
     undecided = 0
     unsound = 0
+    miscounted = 0
     for geom, oracle, result in small_geometry_sweep:
         if result.status == "undecided":
             undecided += 1
@@ -171,12 +174,14 @@ def test_criterion_4_oracle_equivalence(small_geometry_sweep):
             disagreements += 1
         if result.status == "found" and not verify_flow(geom, result.flow).ok:
             unsound += 1
-    ok = disagreements == 0 and undecided == 0 and unsound == 0
+        for flow in (oracle, result.flow):
+            miscounted += flow is not None and not orbit_counting_holds(geom, flow)
+    ok = disagreements == 0 and undecided == 0 and unsound == 0 and miscounted == 0
     report(
         "4 (oracle equivalence)",
         ok,
         f"{len(small_geometry_sweep)} instances, disagreements={disagreements}, "
-        f"undecided={undecided}, unsound={unsound}",
+        f"undecided={undecided}, unsound={unsound}, miscounted={miscounted}",
     )
 
 

@@ -13,6 +13,7 @@ import pytest
 
 from flowscope import (
     CausalFlow,
+    ExtremalPartition,
     FlowSearchResult,
     Geometry,
     Graph,
@@ -20,10 +21,15 @@ from flowscope import (
     PathCover,
     SuccessorFunction,
     cli,
+    find_causal_flow,
+    flow_from_cover,
+    generate_extremal,
+    serialize_geometry,
 )
 from flowscope.cli import main
 
 from .conftest import SIX_CYCLE_TEXT
+from .test_flow import plus_one_edge
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -104,6 +110,29 @@ class TestCheckBound:
         code, _, err = run_cli(capsys, "check-bound", str(f))
         assert code == 2
         assert "output" in err
+
+    @pytest.mark.parametrize(
+        "row, exceeds, check_bound",
+        [
+            ("at-gamma", False, (0, "property-holds reason=edge-bound")),
+            ("one-edge-past", True, (1, "property-fails reason=edge-bound")),
+            ("no-outputs", False, (2, "error reason=input")),
+        ],
+    )
+    def test_every_edge_gate_caller_agrees(self, capsys, tmp_path, row, exceeds, check_bound):
+        geom, cover = generate_extremal(ExtremalPartition((2, 3, 3)))
+        if row == "one-edge-past":
+            geom = plus_one_edge(geom)
+        elif row == "no-outputs":
+            geom, cover = Geometry(geom.graph, geom.inputs, frozenset(), geom.labels), None
+        assert (find_causal_flow(geom).reason == "edge-bound") is exceeds
+        if cover is not None:
+            assert (flow_from_cover(geom, cover).reason == "edge-bound") is exceeds
+        path = tmp_path / "g.json"
+        path.write_text(serialize_geometry(geom))
+        code, out, _ = run_cli(capsys, "check-bound", str(path), "--porcelain")
+        assert (code, out) == (check_bound[0], f"VERDICT: {check_bound[1]}\n")
+        assert cli._certificate_holds(geom, FlowSearchResult("no-flow", reason="edge-bound")) is exceeds
 
 
 class TestFindFlow:
@@ -516,11 +545,18 @@ class TestInputErrorBranches:
         [
             ("v1=0.1,v2", "bad angle 'v2': expected label=radians"),
             ("v1=0.1,v2=abc", "bad angle value in 'v2=abc'"),
+            ("v1=0.1,v1=0.7,v2=0.2", "angle for 'v1' given twice"),
+            ("v1=0.1,v2=0.2, v1 =0.1", "angle for 'v1' given twice"),
         ],
     )
     def test_bad_angle_items(self, capsys, path_file, flow_file, angles, message):
         code, out, err = run_cli(capsys, "simulate", path_file, flow_file, "--angles", angles)
         assert (code, out, err) == (2, "VERDICT: error reason=input\n", f"error: {message}\n")
+
+    def test_angle_label_repeated_across_flags(self, capsys, path_file, flow_file):
+        flags = ["--angles", "v1=0.1", "--angles", "v1=0.7,v2=0.2"]
+        code, out, err = run_cli(capsys, "simulate", path_file, flow_file, *flags)
+        assert (code, out, err) == (2, "VERDICT: error reason=input\n", "error: angle for 'v1' given twice\n")
 
     def test_empty_angle_items_are_skipped(self, capsys, path_file, flow_file):
         plain = run_cli(capsys, "simulate", path_file, flow_file, "--angles", "v1=0.1,v2=0.2")
@@ -546,6 +582,14 @@ class TestInputErrorBranches:
             ([], "the following arguments are required: command"),
             (["find-flow"], "the following arguments are required: geometry"),
             (["no-such-command"], "invalid choice: 'no-such-command'"),
+            (
+                ["simulate", "g.json", "f.json", "--angles", "v1=0.1", "--random-angles", "3"],
+                "argument --random-angles: not allowed with argument --angles",
+            ),
+            (
+                ["simulate", "g.json", "f.json", "--random-angles", "0", "--angles", "v1=0.1"],
+                "argument --angles: not allowed with argument --random-angles",
+            ),
         ],
     )
     def test_usage_errors_end_with_a_verdict(self, capsys, argv, message):

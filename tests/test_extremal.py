@@ -7,10 +7,12 @@ import random
 import pytest
 
 from flowscope import (
+    CausalFlow,
     ExtremalPartition,
     Geometry,
     Graph,
     PathCover,
+    SuccessorFunction,
     brute_force_flow,
     dump_flow,
     find_causal_flow,
@@ -33,6 +35,7 @@ from .extremal_reference import (
     lambda_labels,
     lex_acyclicity_certificate,
     observation_checks,
+    orbit_counting_holds,
 )
 
 
@@ -293,6 +296,42 @@ class TestObservationChecks:
             assert observation_checks(geom, cover) == (not crossing), pairs
             verdicts.add(crossing)
         assert verdicts == {False, True}
+
+
+class TestOrbitCounting:
+    """The counting oracle on hand-made f; tier-1 runs it on every found flow of its sweeps."""
+
+    @staticmethod
+    def along(geom: Geometry, *pairs: tuple[int, int]) -> CausalFlow:
+        # The oracle reads only f, so every rank may be 0.
+        return CausalFlow(SuccessorFunction.from_pairs(pairs), (0,) * geom.vertex_count)
+
+    def test_extremal_flow_is_tight(self):
+        geom, cover = generate_extremal(ExtremalPartition((2, 3, 3)))
+        assert orbit_counting_holds(geom, flow_from_cover(geom, cover).flow, tight=True)
+
+    def test_one_connecting_edge_short_is_not_tight(self):
+        geom, cover = generate_extremal(ExtremalPartition((2, 3, 3)))
+        flow = flow_from_cover(geom, cover).flow
+        first = set(cover.paths[0])
+        edges = list(geom.graph.edges())
+        edges.remove(next((u, v) for u, v in edges if (u in first) != (v in first)))
+        thinner = Geometry(Graph.from_edges(geom.vertex_count, edges), geom.inputs, geom.outputs)
+        assert verify_flow(thinner, flow).ok
+        assert orbit_counting_holds(thinner, flow)
+        assert not orbit_counting_holds(thinner, flow, tight=True)
+
+    def test_chord_fails(self):
+        geom = Geometry(Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)]), frozenset({0}), frozenset({2}))
+        assert not orbit_counting_holds(geom, self.along(geom, (0, 1), (1, 2)))
+
+    def test_too_many_connecting_edges_fail(self):
+        # orbits 0->1 and 2->3 joined by all four possible edges, one over n_i + n_j - 1
+        g = Graph.from_edges(4, [(0, 1), (2, 3), (0, 2), (0, 3), (1, 2), (1, 3)])
+        geom = Geometry(g, frozenset({0, 2}), frozenset({1, 3}))
+        assert not orbit_counting_holds(geom, self.along(geom, (0, 1), (2, 3)))
+        parallel = Geometry(Graph.from_edges(4, [(0, 1), (2, 3), (0, 2), (1, 3), (1, 2)]), geom.inputs, geom.outputs)
+        assert orbit_counting_holds(parallel, self.along(parallel, (0, 1), (2, 3)), tight=True)
 
 
 def shuffled(geom: Geometry, cover: PathCover, rng: random.Random) -> tuple[Geometry, PathCover]:

@@ -46,7 +46,7 @@ from .conftest import (
     saturating_assignments,
 )
 from .digraph_reference import acyclic_order, influence_arcs, influence_order
-from .extremal_reference import iter_influence_arcs
+from .extremal_reference import iter_influence_arcs, orbit_counting_holds
 from .json_reference import reference_dump_flow
 
 
@@ -557,6 +557,7 @@ class TestFindCausalFlow:
             else:
                 assert res.status == "found"
                 assert verify_flow(geom, res.flow).ok
+                assert orbit_counting_holds(geom, res.flow)
                 assert res.flow.depth == best
 
     def test_no_flow_reasons_match_enumeration(self):
@@ -698,6 +699,7 @@ class TestBruteForceOracle:
             if res.status == "found":
                 found += 1
                 assert verify_flow(geom, res.flow).ok
+                assert orbit_counting_holds(geom, res.flow) and orbit_counting_holds(geom, oracle)
             elif res.reason != "edge-bound":
                 assert verify_obstruction(geom, res.obstruction)
         assert 40 <= found <= 200  # the sample covers both verdicts
@@ -773,14 +775,19 @@ class TestFlowSerialization:
             load_flow(geom, '{"successor": {"0": "1"}, "ranks": {"0": 0}, "paths": [["0", "1"]]}')
 
 
+def plus_one_edge(geom: Geometry) -> Geometry:
+    """``geom`` with its first missing edge added; inputs, outputs and labels kept."""
+    adj = geom.graph.adjacency
+    extra = next((u, v) for u in range(geom.vertex_count) for v in range(u + 1, geom.vertex_count) if v not in adj[u])
+    return Geometry(
+        Graph.from_edges(geom.vertex_count, [*geom.graph.edges(), extra]), geom.inputs, geom.outputs, geom.labels
+    )
+
+
 def test_flow_from_cover_refuses_past_the_edge_bound():
     # One edge more than gamma(n, k): the gate decides before the cover is read.
     geom, cover = generate_extremal(ExtremalPartition((2, 3, 3)))
-    adj = geom.graph.adjacency
-    extra = next((u, v) for u in range(geom.vertex_count) for v in range(u + 1, geom.vertex_count) if v not in adj[u])
-    denser = Geometry(
-        Graph.from_edges(geom.vertex_count, [*geom.graph.edges(), extra]), geom.inputs, geom.outputs, geom.labels
-    )
+    denser = plus_one_edge(geom)
     assert denser.graph.edge_count == gamma(denser.vertex_count, denser.output_count) + 1
     res = flow_from_cover(denser, cover)
     assert (res.status, res.reason, res.cover, res.flow) == ("no-flow", "edge-bound", None, None)

@@ -20,6 +20,7 @@ from flowscope import (
 )
 
 from .conftest import SIX_CYCLE_TEXT, path_geometry, relabel
+from .extremal_reference import orbit_counting_holds
 from .test_extremal import random_partition
 from .test_flow import disjoint_union, grid_geometry, random_geometry
 
@@ -33,7 +34,8 @@ def assert_relabel_invariant(geom: Geometry, rng: random.Random) -> FlowSearchRe
 
     Status and reason must not change.  The ranks (so the depth) and the
     obstruction must map across exactly, and the successor too when
-    |I| = |O|, where the flow is unique.
+    |I| = |O|, where the flow is unique.  A found flow must obey the orbit
+    counting of ``orbit_counting_holds``.
     """
     n = geom.vertex_count
     perm = rng.sample(range(n), n)
@@ -41,6 +43,7 @@ def assert_relabel_invariant(geom: Geometry, rng: random.Random) -> FlowSearchRe
     moved = find_causal_flow(relabel(geom, perm))
     assert (moved.status, moved.reason) == (res.status, res.reason)
     if res.status == "found":
+        assert orbit_counting_holds(geom, res.flow)
         ranks = [0] * n
         for v, rank in enumerate(res.flow.order_rank):
             ranks[perm[v]] = rank
@@ -67,10 +70,14 @@ def assert_gadget_union(geom: Geometry, gadget: Geometry) -> None:
 
 
 def assert_flow_union(first: Geometry, second: Geometry) -> None:
-    """Two geometries with flows, side by side: a flow of the larger depth, f the two fs, the second shifted."""
+    """Two geometries with flows, side by side: a flow of the larger depth, f the two fs, the second shifted.
+
+    The union's flow must obey the orbit counting of ``orbit_counting_holds``.
+    """
     a, b = find_causal_flow(first).flow, find_causal_flow(second).flow
-    res = find_causal_flow(disjoint_union([first, second]))
-    assert res.status == "found"
+    union = disjoint_union([first, second])
+    res = find_causal_flow(union)
+    assert res.status == "found" and orbit_counting_holds(union, res.flow)
     assert res.flow.depth == max(a.depth, b.depth)
     n = first.vertex_count
     assert res.flow.successor.pairs == a.successor.pairs + tuple((x + n, y + n) for x, y in b.successor.pairs)
@@ -101,11 +108,12 @@ def test_relations_on_small_random_geometries():
 
 def test_relations_on_extremal_and_grid_geometries_up_to_5000():
     rng = random.Random(20071009)
-    large = [generate_extremal(random_partition(rng, 5000))[0] for _ in range(6)]
-    large += [grid_geometry(11, 400), grid_geometry(70, 70), path_geometry(5000)]
-    for geom in large:
+    extremal = [generate_extremal(random_partition(rng, 5000))[0] for _ in range(6)]
+    large = extremal + [grid_geometry(11, 400), grid_geometry(70, 70), path_geometry(5000)]
+    for i, geom in enumerate(large):
         res = assert_relabel_invariant(geom, rng)
         assert res.status == "found" and len(geom.inputs) == geom.output_count
+        assert orbit_counting_holds(geom, res.flow, tight=i < len(extremal))
     small, _ = generate_extremal(ExtremalPartition((2, 3, 3)))
     for geom in large[::2]:
         assert_gadget_union(geom, SIX_CYCLE)

@@ -128,8 +128,8 @@ VALUE_CLASSES = [
     (MeasurementPattern, {"geometry": GEOM, "flow": FLOW, "angles": {0: 0.5}}, {}, {"angles": {0: 0.25}}),
     (
         LinearMap,
-        {"amplitudes": np.eye(2), "output_qubits": (1,), "input_qubits": (0,), "passthrough": ()},
-        {"passthrough": ()},
+        {"amplitudes": np.eye(2), "output_qubits": (1,), "input_qubits": (0,)},
+        {},
         {"amplitudes": np.zeros((2, 2))},
     ),
 ]

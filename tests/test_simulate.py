@@ -225,14 +225,11 @@ class TestIsometryDefect:
         with pytest.raises(ValueError, match="^map contains non-finite entries$"):
             LinearMap(amps, (0,), (1,))
 
-    def test_passthrough_must_be_input_and_output(self):
-        with pytest.raises(ValueError, match="pass-through"):
-            LinearMap(np.ones((1, 2), dtype=complex), (0,), (1,), (1,))
-
     def test_passthrough_map_is_block_diagonal(self):
         # output qubits (2, 5), input qubits (5, 7), qubit 5 passes through
         amps = np.arange(1, 9, dtype=complex).reshape(2, 4)
-        v = LinearMap(amps, (2, 5), (5, 7), (5,))
+        v = LinearMap(amps, (2, 5), (5, 7))
+        assert v.passthrough == (5,)
         expected = np.zeros((4, 4), dtype=complex)
         for out2, in5, in7 in np.ndindex(2, 2, 2):
             expected[2 * out2 + in5, 2 * in5 + in7] = amps[out2, 2 * in5 + in7]
