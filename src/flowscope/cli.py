@@ -245,16 +245,20 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if not check.ok:
         raise CliError(f"flow file does not verify (condition {check.condition})")
 
+    if args.seed is not None and args.seed < 0:
+        raise CliError(f"--seed must be non-negative, got {args.seed}")
     if args.angles:
+        if args.seed is not None:
+            raise CliError("--seed applies only to --random-angles")
         draws = [_parse_angle_args(geom, args.angles)]
-    elif args.random_angles:
+    elif args.random_angles is not None:
         if args.random_angles < 0:
             raise CliError(f"--random-angles must be non-negative, got {args.random_angles}")
-        if args.seed < 0:
-            raise CliError(f"--seed must be non-negative, got {args.seed}")
+        if args.random_angles == 0:
+            raise CliError("--random-angles must be positive, got 0")
         import numpy as np
 
-        rng = np.random.default_rng(args.seed)
+        rng = np.random.default_rng(args.seed or 0)
         # Drawn one at a time, so the qubit cap is checked before the second draw.
         draws = (draw_angles(geom.measured, rng) for _ in range(args.random_angles))
     else:
@@ -326,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     angles = p.add_mutually_exclusive_group()
     angles.add_argument("--angles", action="append", default=[], help="label=radians pairs, comma separated")
     angles.add_argument("--random-angles", type=int, metavar="N", help="number of random draws")
-    p.add_argument("--seed", type=int, default=0, help="seed for --random-angles")
+    p.add_argument("--seed", type=int, help="seed for --random-angles (default 0)")
     p.add_argument("--dump-map", action="store_true", help="print the map, row major, 15 digits")
     p.add_argument("--max-qubits", type=int, default=DEFAULT_QUBIT_BOUND, help="simulation size cap")
     p.set_defaults(handler=cmd_simulate)

@@ -22,9 +22,11 @@ block diagonal over the bits of these *pass-through* inputs U:
 `LinearMap` keeps only the compact amplitudes, builds the dense matrix on
 request, and `isometry_defect` forms one Gram block per assignment of U.
 A draw costs 2^n amplitudes for the state plus 2^|U| * 2^|O-U| * 4^|I-U|
-for the Gram blocks.  The 0/1 basis-bit tables are built once per width
-and shared read-only across draws, and Gram blocks of at least 4 x 4 go
-through BLAS.
+for the Gram blocks, and a fixed number of numpy calls whatever the
+number of edges: one indexed store writes every edge into the CZ sign
+table.  The 0/1 basis-bit tables are built once per width and shared
+read-only across draws, and Gram blocks of at least 4 x 4 go through
+BLAS.
 """
 
 from __future__ import annotations
@@ -194,14 +196,25 @@ def simulate_postselected(pattern: MeasurementPattern, *, max_qubits: int = DEFA
     # with both ends 1: among the row bits, among the column bits, and
     # across.  `upper` holds each edge once, at (earlier, later) register
     # position; row qubits come first, so no row-column edge is lost.
-    at = {q: i for i, q in enumerate(measured + kept + inputs)}
+    # Every adjacency list names each edge from both ends; the end with
+    # the earlier position keeps it, and one indexed store writes them all.
+    pos = [0] * n
+    for i, q in enumerate(measured + kept + inputs):
+        pos[q] = i
+    lo: list[int] = []
+    hi: list[int] = []
+    for u, nbrs in enumerate(geom.graph.adjacency):
+        p = pos[u]
+        for v in nbrs:
+            if p < pos[v]:
+                lo.append(p)
+                hi.append(pos[v])
     upper = np.zeros((n, n))
-    for u, v in geom.graph.edges():
-        upper[min(at[u], at[v]), max(at[u], at[v])] = 1.0
+    upper[lo, hi] = 1.0
     row_bits, col_bits = _basis_bits(r), _basis_bits(len(inputs))
     parity = (
-        np.sum((row_bits @ upper[:r, :r]) * row_bits, axis=1)[:, None]
-        + np.sum((col_bits @ upper[r:, r:]) * col_bits, axis=1)[None, :]
+        np.einsum("ij,ij->i", row_bits @ upper[:r, :r], row_bits)[:, None]
+        + np.einsum("ij,ij->i", col_bits @ upper[r:, r:], col_bits)[None, :]
         + row_bits @ upper[:r, r:] @ col_bits.T
     )
 

@@ -567,6 +567,26 @@ class TestInputErrorBranches:
         code, out, err = run_cli(capsys, "simulate", path_file, flow_file)
         assert (code, out, err) == (2, "VERDICT: error reason=input\n", "error: need --angles or --random-angles\n")
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--angles", "v1=0.1,v2=0.2", "--seed", "1"], "--seed applies only to --random-angles"),
+            (["--angles", "v1=0.1,v2=0.2", "--seed", "0"], "--seed applies only to --random-angles"),
+            (["--angles", "v1=0.1,v2=0.2", "--seed", "-5"], "--seed must be non-negative, got -5"),
+            (["--random-angles", "0"], "--random-angles must be positive, got 0"),
+        ],
+    )
+    def test_simulate_option_refusals(self, capsys, path_file, flow_file, flags, message):
+        code, out, err = run_cli(capsys, "simulate", path_file, flow_file, *flags)
+        assert (code, out, err) == (2, "VERDICT: error reason=input\n", f"error: {message}\n")
+
+    def test_random_angles_seed_defaults_to_zero(self, capsys, path_file, flow_file):
+        draws = ["simulate", path_file, flow_file, "--random-angles", "2", "--dump-map"]
+        plain = run_cli(capsys, *draws)
+        assert plain[0] == 0
+        assert run_cli(capsys, *draws, "--seed", "0") == plain
+        assert run_cli(capsys, *draws, "--seed", "1") != plain
+
     @pytest.mark.parametrize("key", ["successor", "ranks"])
     def test_flow_file_fields_must_be_objects(self, capsys, tmp_path, path_file, flow_file, key):
         data = json.loads(Path(flow_file).read_text())

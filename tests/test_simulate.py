@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import random
 import tracemalloc
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -261,6 +261,25 @@ def assert_matches_dense_reference(geom, flow, rng) -> None:
         assert isometry_defect(vmap) == pytest.approx(expected, abs=1e-12)
 
 
+def input_heavy_geometry(rng: random.Random, n: int) -> Geometry:
+    """Random path cover plus chords with every path start an input.
+
+    Path starts are joined pairwise with probability 0.4, so many draws
+    have edges between two inputs, and a one-vertex path is an input that
+    is also an output, so many have pass-through qubits.
+    """
+    k = rng.randint(2, n // 2)
+    order = rng.sample(range(n), n)
+    cuts = sorted(rng.sample(range(1, n), k - 1))
+    paths = [order[a:b] for a, b in zip([0, *cuts], [*cuts, n])]
+    edges = {tuple(sorted(e)) for p in paths for e in zip(p, p[1:])}
+    starts = [p[0] for p in paths]
+    edges |= {tuple(sorted(e)) for e in combinations(starts, 2) if rng.random() < 0.4}
+    density = rng.uniform(0.0, 0.2)
+    edges |= {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density}
+    return Geometry(Graph.from_edges(n, sorted(edges)), frozenset(starts), frozenset(p[-1] for p in paths))
+
+
 class TestAgainstDenseReference:
     def test_every_extremal_partition_up_to_8(self):
         rng = np.random.default_rng(11)
@@ -281,6 +300,25 @@ class TestAgainstDenseReference:
             checked += 1
             assert_matches_dense_reference(geom, res.flow, angle_rng)
         assert checked >= 100
+
+    def test_seeded_random_geometries_with_flow_9_to_12(self):
+        # The sizes simulate-sweep draws at.  Inputs sit last in the
+        # register, so edges between two inputs are the ones the CZ table
+        # holds in its input-by-input corner.
+        rng = random.Random(2026)
+        angle_rng = np.random.default_rng(2026)
+        sizes, passthrough, input_edges = set(), 0, 0
+        for i in range(160):
+            geom = input_heavy_geometry(rng, 9 + i % 4)
+            res = find_causal_flow(geom)
+            if res.status != "found":
+                continue
+            sizes.add(geom.vertex_count)
+            passthrough += bool(geom.inputs & geom.outputs)
+            input_edges += any(geom.inputs.intersection(geom.graph.adjacency[u]) for u in geom.inputs)
+            assert_matches_dense_reference(geom, res.flow, angle_rng)
+        assert sizes == {9, 10, 11, 12}
+        assert passthrough >= 20 and input_edges >= 20
 
     # At the 12-qubit cap: one 64 x 64 Gram block, 16 of 4 x 4 and 8 of
     # 16 x 16, so batched matmul runs on single and stacked blocks.
