@@ -11,13 +11,11 @@ reserved and never returned.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
 from flowscope.extremal import ExtremalPartition, gamma, generate_extremal
 from flowscope.flow import (
-    DEFAULT_ORACLE_BOUND,
     CausalFlow,
     FlowCheck,
     FlowDomainError,
@@ -45,7 +43,6 @@ from flowscope.simulate import (
     simulate_postselected,
 )
 
-ORACLE_BOUND_ENV = "FLOWSCOPE_ORACLE_BOUND"
 DEFECT_THRESHOLD = 1e-9
 
 EXIT_OK = 0
@@ -100,16 +97,6 @@ def _read_text(path: str) -> str:
         raise CliError(f"cannot read {path}: {exc}") from exc
 
 
-def _oracle_bound() -> int:
-    raw = os.environ.get(ORACLE_BOUND_ENV)
-    if raw is None:
-        return DEFAULT_ORACLE_BOUND
-    try:
-        return int(raw)
-    except ValueError:
-        raise CliError(f"{ORACLE_BOUND_ENV} must be an integer, got {raw!r}") from None
-
-
 def cmd_check_bound(args: argparse.Namespace) -> int:
     report = Report(args.porcelain)
     geom = load_geometry(_read_text(args.geometry))
@@ -133,7 +120,7 @@ def cmd_find_flow(args: argparse.Namespace) -> int:
     )
     if not args.oracle:
         result = find_causal_flow(geom)
-    elif (flow := brute_force_flow(geom, bound=_oracle_bound())) is not None:
+    elif (flow := brute_force_flow(geom)) is not None:
         result = FlowSearchResult("found", flow=flow)
     else:
         result = FlowSearchResult("no-flow", reason="oracle")
@@ -161,13 +148,16 @@ def cmd_find_flow(args: argparse.Namespace) -> int:
 
 
 def _certificate_holds(geom: Geometry, result: FlowSearchResult) -> bool:
-    """Whether a verdict's certificate holds: its flow, its edge count or its obstruction."""
+    """Whether a verdict's certificate holds: its flow, its edge count, its obstruction, or the greedy's."""
     try:
         if result.status == "found":
             return verify_flow(geom, result.flow).ok
         if result.reason == "edge-bound":
             return _exceeds_gamma(geom)
-        return result.reason == "oracle" or verify_obstruction(geom, result.obstruction or ())
+        if result.reason == "oracle":
+            greedy = find_causal_flow(geom)
+            return greedy.status == "no-flow" and _certificate_holds(geom, greedy)
+        return verify_obstruction(geom, result.obstruction or ())
     except FlowDomainError:
         return False
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Literal
+from typing import Iterable, Literal, Sequence
 
 from flowscope.geometry import (
     Geometry,
@@ -52,25 +52,23 @@ class FlowFormatError(ValueError):
 class SuccessorFunction(_Record):
     """Partial map from measured vertices to their correction partners.
 
-    Stored as ascending (source, target) pairs.  Construction accepts
+    Stored as the image indexed by vertex: ``image[v]`` is f(v), or -1
+    where f is undefined (the outputs, for a flow); ``pairs`` lists the
+    (x, f(x)) where f is defined, ascending.  Construction accepts
     arbitrary candidates so that verifiers can inspect broken ones;
     ``verify_flow`` checks the full contract: the shape of a flow (see
     ``_check_flow``), adjacency, and the order conditions that imply
     injectivity.
     """
 
-    _fields = ("pairs",)
+    _fields = ("image",)
 
-    def __init__(self, pairs: tuple[tuple[int, int], ...]) -> None:
-        self.__dict__["pairs"] = pairs
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> SuccessorFunction:
-        return cls(tuple(sorted(pairs)))
+    def __init__(self, image: tuple[int, ...]) -> None:
+        self.__dict__["image"] = image
 
     @cached_property
-    def mapping(self) -> dict[int, int]:
-        return dict(self.pairs)
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        return tuple([(x, fx) for x, fx in enumerate(self.image) if fx != -1])
 
 
 class PathCover(_Record):
@@ -84,9 +82,6 @@ class PathCover(_Record):
 
     def __init__(self, paths: tuple[tuple[int, ...], ...]) -> None:
         self.__dict__["paths"] = paths
-
-    def successor_pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple((u, v) for path in self.paths for u, v in zip(path, path[1:]))
 
 
 class CausalFlow(_Record):
@@ -183,7 +178,9 @@ def verify_flow(geom: Geometry, flow: CausalFlow) -> FlowCheck:
     _check_flow(geom, flow)
     adj = geom.graph.adjacency
     ranks = flow.order_rank
-    for x, fx in flow.successor.mapping.items():
+    image = flow.successor.image
+    for x in geom.measured:
+        fx = image[x]
         if fx not in adj[x]:
             return FlowCheck(False, "adjacency", (x, fx))
         if not ranks[x] < ranks[fx]:
@@ -197,33 +194,33 @@ def verify_flow(geom: Geometry, flow: CausalFlow) -> FlowCheck:
 def _check_flow(geom: Geometry, flow: CausalFlow) -> None:
     """Raise FlowDomainError unless ``flow`` has the shape of a flow on ``geom``.
 
-    Every id of f must be an int vertex, f must be defined on exactly the
-    measured vertices, no value of f may be an input, and there must be
-    one rank per vertex, each a non-negative int; a bool is neither an id
+    f's image must have one entry per vertex, -1 exactly on the outputs
+    and an int vertex outside the inputs elsewhere, and there must be one
+    rank per vertex, each a non-negative int; a bool is neither a vertex
     nor a rank.  Each rule is tested on the whole collection at once; only
-    a failure walks the items, to name the first bad one by its label.
+    a failure walks the items, to name the first bad vertex by its label.
     """
     n = geom.vertex_count
     names = geom._names
-    mapping = flow.successor.mapping
-    measured = set(geom.measured)
-    # Int keys equal to the measured set are vertices; the type test comes
-    # first because 1.0 == 1 as a set member.
-    keys_ok = set(map(type, mapping)) <= {int} and mapping.keys() == measured
-    if not (keys_ok and _first_bad(mapping.values(), n) is None):
-        for x, fx in mapping.items():
-            if _first_bad((x,), n) is not None:
-                raise FlowDomainError(f"f is defined on {x!r}, which is not a vertex")
-            if _first_bad((fx,), n) is not None:
+    image = flow.successor.image
+    if len(image) != n:
+        raise FlowDomainError(f"image of f has {len(image)} entries for {n} vertices")
+    outputs = geom.outputs
+    in_range = set(map(type, image)) <= {int} and min(image, default=0) >= -1 and max(image, default=-1) < n
+    # Among ints in [-1, n), as many -1s as outputs, all on them, leave f undefined exactly there.
+    if not (in_range and image.count(-1) == len(outputs) and all(image[v] == -1 for v in outputs)):
+        for x, fx in enumerate(image):
+            if type(fx) is not int or not -1 <= fx < n:
                 raise FlowDomainError(f"f({names[x]!r}) = {fx!r} is not a vertex")
-        extra = mapping.keys() - measured
+        extra = [v for v in outputs if image[v] != -1]
         if extra:
             raise FlowDomainError(f"f is defined on output vertex {names[min(extra)]!r}")
-        raise FlowDomainError(f"f is undefined on measured vertex {names[min(measured - mapping.keys())]!r}")
+        x = next(x for x, fx in enumerate(image) if fx == -1 and x not in outputs)
+        raise FlowDomainError(f"f is undefined on measured vertex {names[x]!r}")
     inputs = geom.inputs
-    if not inputs.isdisjoint(mapping.values()):
-        x, fx = next((x, fx) for x, fx in mapping.items() if fx in inputs)
-        raise FlowDomainError(f"f({names[x]!r}) = {names[fx]!r} lies in the input set")
+    if not inputs.isdisjoint(image):
+        x = next(x for x, fx in enumerate(image) if fx in inputs)
+        raise FlowDomainError(f"f({names[x]!r}) = {names[image[x]]!r} lies in the input set")
     ranks = flow.order_rank
     if len(ranks) < n:
         raise FlowDomainError(f"missing rank for vertex {names[len(ranks)]!r}")
@@ -235,9 +232,9 @@ def _check_flow(geom: Geometry, flow: CausalFlow) -> None:
 
 
 def _influence_order(
-    geom: Geometry, pairs: Iterable[tuple[int, int]]
+    geom: Geometry, image: Sequence[int]
 ) -> tuple[tuple[int, ...] | None, tuple[int, ...] | None]:
-    """Ranks of the influencing digraph of ``pairs`` as ``(ranks, None)``, or ``(None, cycle)``.
+    """Ranks of the influencing digraph of f's ``image`` as ``(ranks, None)``, or ``(None, cycle)``.
 
     The successors of x are f(x) and the neighbours of f(x) other than x,
     so no arc list is built.  Vertices are taken a whole layer at a time,
@@ -249,10 +246,10 @@ def _influence_order(
     """
     n = geom.vertex_count
     adj = geom.graph.adjacency
-    image: list[int | None] = [None] * n
     indeg = [0] * n
-    for x, fx in pairs:
-        image[x] = fx
+    for x, fx in enumerate(image):
+        if fx < 0:
+            continue
         nbrs = adj[fx]
         indeg[fx] += 1
         for y in nbrs:
@@ -267,7 +264,7 @@ def _influence_order(
         for u in frontier:
             layer[u] = depth
             fu = image[u]
-            if fu is None:
+            if fu < 0:
                 continue
             indeg[fu] -= 1
             if not indeg[fu]:
@@ -283,7 +280,7 @@ def _influence_order(
     return None, _extract_cycle(adj, image, layer)
 
 
-def _extract_cycle(adj: tuple[tuple[int, ...], ...], image: list[int | None], layer: list[int]) -> tuple[int, ...]:
+def _extract_cycle(adj: tuple[tuple[int, ...], ...], image: Sequence[int], layer: list[int]) -> tuple[int, ...]:
     """The cycle met walking back from the smallest unranked vertex, rotated to its smallest.
 
     ``image`` is an injective f, and ``layer`` is -1 on the vertices that
@@ -295,7 +292,7 @@ def _extract_cycle(adj: tuple[tuple[int, ...], ...], image: list[int | None], la
     """
     source = [-1] * len(image)  # the inverse of f
     for u, fu in enumerate(image):
-        if fu is not None:
+        if fu >= 0:
             source[fu] = u
     cur = layer.index(-1)
     seen = {cur: 0}
@@ -311,30 +308,28 @@ def _extract_cycle(adj: tuple[tuple[int, ...], ...], image: list[int | None], la
         cur = prev
 
 
-def _splice_orbits(vertex_count: int, succ: dict[int, int]) -> tuple[tuple[int, ...], ...] | None:
+def _splice_orbits(image: Sequence[int]) -> tuple[tuple[int, ...], ...] | None:
     """Chain f into paths; None when f is not injective or some orbit closes into a cycle."""
-    image = set(succ.values())
-    if len(image) != len(succ):
+    n = len(image)
+    targets = set(image) - {-1}
+    if len(targets) != n - image.count(-1):
         return None
     paths: list[tuple[int, ...]] = []
-    covered = 0
-    for start in range(vertex_count):
-        if start in image:
+    for start in range(n):
+        if start in targets:
             continue
-        chain = [start]
-        cur = start
-        while cur in succ:
-            cur = succ[cur]
-            chain.append(cur)
-        paths.append(tuple(chain))
-        covered += len(chain)
-    if covered != vertex_count:
-        return None
-    return tuple(paths)
+        path = [start]
+        cur = image[start]
+        while cur >= 0:
+            path.append(cur)
+            cur = image[cur]
+        paths.append(tuple(path))
+    # Every vertex is on a path unless some orbit closes into a cycle.
+    return tuple(paths) if sum(map(len, paths)) == n else None
 
 
-def _backward_greedy(geom: Geometry) -> tuple[dict[int, int], list[int], list[int]]:
-    """Partners and layers from the outputs backwards, plus the unprocessed rest.
+def _backward_greedy(geom: Geometry) -> tuple[list[int], list[int], list[int]]:
+    """The image of f and the layers, from the outputs backwards, plus the unprocessed rest.
 
     A corrector is a processed non-input vertex not yet used as a partner.
     In each round every corrector with exactly one unprocessed neighbour u
@@ -360,7 +355,7 @@ def _backward_greedy(geom: Geometry) -> tuple[dict[int, int], list[int], list[in
         count[v] = c
         xor[v] = x
     used = [False] * n
-    succ: dict[int, int] = {}
+    image = [-1] * n
     layer = [0] * n
     depth = 0
     ready = [v for v in geom.outputs if count[v] == 1 and v not in inputs]
@@ -375,7 +370,7 @@ def _backward_greedy(geom: Geometry) -> tuple[dict[int, int], list[int], list[in
         depth += 1
         ready = []
         for u, v in claims.items():
-            succ[u] = v
+            image[u] = v
             used[v] = True
             layer[u] = depth
             for w in adj[u]:
@@ -387,7 +382,7 @@ def _backward_greedy(geom: Geometry) -> tuple[dict[int, int], list[int], list[in
             processed[u] = True
             if count[u] == 1 and u not in inputs:
                 ready.append(u)
-    return succ, layer, [v for v in range(n) if not processed[v]]
+    return image, layer, [v for v in range(n) if not processed[v]]
 
 
 def find_causal_flow(geom: Geometry) -> FlowSearchResult:
@@ -405,26 +400,26 @@ def find_causal_flow(geom: Geometry) -> FlowSearchResult:
     if _exceeds_gamma(geom):
         return FlowSearchResult("no-flow", reason="edge-bound")
 
-    succ, layer, unprocessed = _backward_greedy(geom)
+    image, layer, unprocessed = _backward_greedy(geom)
     if not unprocessed:
         depth = max(layer, default=0)
-        flow = CausalFlow(SuccessorFunction.from_pairs(succ.items()), tuple(depth - l for l in layer))
+        flow = CausalFlow(SuccessorFunction(tuple(image)), tuple(depth - l for l in layer))
         return FlowSearchResult("found", flow=flow)
 
     obstruction = tuple(unprocessed)
     # With k = 0, k paths must cover n > 0 vertices; impossible with zero paths.
-    if geom.output_count == 0 or not _complete_matching(geom, succ, unprocessed):
+    if geom.output_count == 0 or not _complete_matching(geom, image, unprocessed):
         return FlowSearchResult("no-flow", reason="no-cover", obstruction=obstruction)
-    _ranks, cycle = _influence_order(geom, list(succ.items()))
+    _ranks, cycle = _influence_order(geom, image)
     if cycle is None:
         raise AssertionError("backward greedy stalled on a geometry that has a flow")
     return FlowSearchResult("no-flow", reason="cyclic-D", cycle=cycle, obstruction=obstruction)
 
 
-def _complete_matching(geom: Geometry, succ: dict[int, int], exposed: list[int]) -> bool:
-    """Extend ``succ`` in place to give every vertex of ``exposed`` a partner; False if impossible.
+def _complete_matching(geom: Geometry, image: list[int], exposed: list[int]) -> bool:
+    """Extend ``image`` in place to give every vertex of ``exposed`` a partner; False if impossible.
 
-    ``succ`` matches measured vertices to distinct non-input neighbours,
+    ``image`` matches measured vertices to distinct non-input neighbours,
     and ``exposed`` lists the measured vertices it leaves out.  Each phase
     layers the measured vertices by their alternating distance to a free
     partner, searching backwards from every free non-input vertex.  An
@@ -438,8 +433,9 @@ def _complete_matching(geom: Geometry, succ: dict[int, int], exposed: list[int])
     adj = geom.graph.adjacency
     inputs = geom.inputs
     owner = [-1] * n  # the measured vertex matched to each partner
-    for x, y in succ.items():
-        owner[y] = x
+    for x, y in enumerate(image):
+        if y >= 0:
+            owner[y] = x
     # Outputs never get a layer: the sentinel n marks them as not measured.
     unlayered = [n if v in geom.outputs else -1 for v in range(n)]
     free = [y for y in range(n) if owner[y] < 0 and y not in inputs]
@@ -453,8 +449,8 @@ def _complete_matching(geom: Geometry, succ: dict[int, int], exposed: list[int])
                 for x in adj[y]:
                     if layer[x] < 0:
                         layer[x] = depth
-                        if x in succ:
-                            upcoming.append(succ[x])
+                        if image[x] >= 0:
+                            upcoming.append(image[x])
             partners, depth = upcoming, depth + 1
         if any(layer[x] < 0 for x in exposed):
             return False
@@ -472,7 +468,7 @@ def _complete_matching(geom: Geometry, succ: dict[int, int], exposed: list[int])
                         # y is free: each vertex on the path takes the next one's partner.
                         for u in reversed(path):
                             owner[y] = u
-                            succ[u], y = y, succ.get(u)
+                            image[u], y = y, image[u]
                             used[u] = True
                         path = []
                         break
@@ -484,7 +480,7 @@ def _complete_matching(geom: Geometry, succ: dict[int, int], exposed: list[int])
                     used[x] = True
                     path.pop()
                     scans.pop()
-        exposed = [x for x in exposed if x not in succ]
+        exposed = [x for x in exposed if image[x] < 0]
     return True
 
 
@@ -520,10 +516,12 @@ def flow_from_cover(geom: Geometry, cover: PathCover) -> FlowSearchResult:
     """
     if _exceeds_gamma(geom):
         return FlowSearchResult("no-flow", reason="edge-bound")
-    succ = SuccessorFunction.from_pairs(cover.successor_pairs())
-    ranks, cycle = _influence_order(geom, succ.pairs)
+    image = [-1] * geom.vertex_count
+    for u, v in chain.from_iterable(zip(path, path[1:]) for path in cover.paths):
+        image[u] = v
+    ranks, cycle = _influence_order(geom, image)
     if ranks is not None:
-        return FlowSearchResult("found", flow=CausalFlow(succ, ranks), cover=cover)
+        return FlowSearchResult("found", flow=CausalFlow(SuccessorFunction(tuple(image)), ranks), cover=cover)
     return FlowSearchResult("no-flow", reason="cyclic-D", cycle=cycle)
 
 
@@ -590,9 +588,8 @@ def brute_force_flow(geom: Geometry, *, bound: int = DEFAULT_ORACLE_BOUND) -> Ca
             i -= 1
     if i < 0:
         return None
-    succ = SuccessorFunction.from_pairs((x, image[x]) for x in measured)
-    ranks, _cycle = _influence_order(geom, succ.pairs)
-    return CausalFlow(succ, ranks)
+    ranks, _cycle = _influence_order(geom, image)
+    return CausalFlow(SuccessorFunction(tuple(image)), ranks)
 
 
 FLOW_FILE_KEYS = ("successor", "ranks", "paths")
@@ -601,22 +598,22 @@ FLOW_FILE_KEYS = ("successor", "ranks", "paths")
 def dump_flow(geom: Geometry, flow: CausalFlow, cover: PathCover | None = None) -> str:
     """Render a flow as byte-stable text keyed by vertex labels.
 
-    ``successor`` and ``ranks`` list vertices in label order; ``paths``
-    follows the cover, by default the orbits of f.  The layout is
-    ``json.dumps(payload, indent=2)`` plus a final newline, with ASCII
-    escapes.  A flow without the shape of one on ``geom`` raises
-    FlowDomainError, as in ``verify_flow``.  An f that is not injective
-    or has a cyclic orbit raises ValueError.  An id of the cover that is
-    not an int vertex (a bool is not one) raises GeometryError, and a
-    cover that is not the orbits of f raises the FlowFormatError that
-    ``load_flow`` would raise.
+    ``successor`` lists each x where f is defined and ``ranks`` every
+    vertex, both in label order; ``paths`` follows the cover, by default
+    the orbits of f.  The layout is ``json.dumps(payload, indent=2)`` plus
+    a final newline, with ASCII escapes.  A flow without the shape of one
+    on ``geom`` raises FlowDomainError, as in ``verify_flow``.  An f that
+    is not injective or has a cyclic orbit raises ValueError.  An id of
+    the cover that is not an int vertex (a bool is not one) raises
+    GeometryError, and a cover that is not the orbits of f raises the
+    FlowFormatError that ``load_flow`` would raise.
     """
     _check_flow(geom, flow)
     n = geom.vertex_count
-    mapping = flow.successor.mapping
+    image = flow.successor.image
     ranks = flow.order_rank
     if cover is None:
-        paths = _splice_orbits(n, mapping)
+        paths = _splice_orbits(image)
         if paths is None:
             raise ValueError("f is not injective or has a cyclic orbit; cannot lay out paths")
     else:
@@ -625,12 +622,12 @@ def dump_flow(geom: Geometry, flow: CausalFlow, cover: PathCover | None = None) 
         bad = _first_bad(ids, n)
         if bad is not None:
             raise GeometryError(f"unknown vertex {ids[bad]!r}")
-        _check_orbits(geom, mapping, paths)
+        _check_orbits(geom, image, paths)
     names = geom._names
     esc = list(map(encode_basestring_ascii, names))
     order = sorted(range(n), key=names.__getitem__)
     fields = (
-        ("successor", json_block([f"{esc[x]}: {esc[mapping[x]]}" for x in order if x in mapping], 1, "{}")),
+        ("successor", json_block([f"{esc[x]}: {esc[image[x]]}" for x in order if image[x] >= 0], 1, "{}")),
         ("ranks", json_block([f"{esc[v]}: {ranks[v]}" for v in order], 1, "{}")),
         ("paths", json_block([json_block([esc[v] for v in path], 2) for path in paths], 1)),
     )
@@ -652,7 +649,9 @@ def load_flow(geom: Geometry, text: str) -> tuple[CausalFlow, PathCover]:
     if not isinstance(successor, dict):
         raise FlowFormatError("'successor' must be an object")
     ends = iter(_resolve(geom, list(chain.from_iterable(successor.items())), "successor"))
-    pairs = zip(ends, ends)
+    image = [-1] * geom.vertex_count
+    for x, fx in zip(ends, ends):
+        image[x] = fx
 
     raw_ranks = data["ranks"]
     if not isinstance(raw_ranks, dict):
@@ -680,9 +679,8 @@ def load_flow(geom: Geometry, text: str) -> tuple[CausalFlow, PathCover]:
             raise FlowFormatError(f"paths[{pos}]: expected a list of labels")
         paths.append(tuple(_resolve(geom, raw, f"paths[{pos}]")))
 
-    flow = CausalFlow(SuccessorFunction.from_pairs(pairs), tuple(ranks))
-    _check_orbits(geom, flow.successor.mapping, paths)
-    return flow, PathCover(tuple(paths))
+    _check_orbits(geom, image, paths)
+    return CausalFlow(SuccessorFunction(tuple(image)), tuple(ranks)), PathCover(tuple(paths))
 
 
 def _resolve(geom: Geometry, labels: list[object], where: str) -> list[int]:
@@ -697,7 +695,7 @@ def _resolve(geom: Geometry, labels: list[object], where: str) -> list[int]:
     raise FlowFormatError(f"{where}: expected a vertex label, got {bad!r}")
 
 
-def _check_orbits(geom: Geometry, mapping: dict[int, int], paths: list[tuple[int, ...]]) -> None:
+def _check_orbits(geom: Geometry, image: Sequence[int], paths: list[tuple[int, ...]]) -> None:
     """Raise FlowFormatError unless ``paths`` are the orbits of f, in any order.
 
     The paths must partition the vertices, f must map each vertex of a
@@ -716,10 +714,10 @@ def _check_orbits(geom: Geometry, mapping: dict[int, int], paths: list[tuple[int
                 raise FlowFormatError(f"{where}: vertex {names[v]!r} appears twice")
             on_path[v] = True
         for u, v in zip(path, path[1:]):
-            if mapping.get(u) != v:
+            if image[u] != v:
                 raise FlowFormatError(f"{where}: f({names[u]!r}) is not {names[v]!r}")
         last = path[-1]
-        if last in mapping:
+        if image[last] >= 0:
             raise FlowFormatError(f"{where}: ends at {names[last]!r}, where f is defined")
     if not all(on_path):
         raise FlowFormatError(f"paths: vertex {names[on_path.index(False)]!r} is on no path")

@@ -158,8 +158,10 @@ def measurement_order(flow: CausalFlow) -> list[int]:
     Depends only on the flow; any topological order of the influencing
     digraph restricted to the measured vertices would do.
     """
-    # f's keys ascend and sorting is stable, so equal ranks keep id order.
-    return sorted(flow.successor.mapping, key=flow.order_rank.__getitem__)
+    # The measured vertices, where f is defined, ascend and sorting is
+    # stable, so equal ranks keep id order.
+    measured = [x for x, fx in enumerate(flow.successor.image) if fx >= 0]
+    return sorted(measured, key=flow.order_rank.__getitem__)
 
 
 def draw_angles(vertices: Sequence[int], rng: np.random.Generator) -> dict[int, float]:

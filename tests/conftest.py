@@ -8,10 +8,8 @@ from itertools import combinations, product
 import pytest
 from hypothesis import strategies as st
 
-from flowscope import Geometry, Graph, PathCover, load_geometry
+from flowscope import Geometry, Graph, PathCover, SuccessorFunction, load_geometry
 from flowscope.flow import _splice_orbits
-
-from .extremal_reference import iter_influence_arcs
 
 # Alternating 6-cycle a0-b0-a1-b1-a2-b2-a0 with the a side as inputs and
 # the b side as outputs; the canonical geometry without a causal flow.
@@ -35,6 +33,19 @@ SIX_CYCLE_TEXT = json.dumps(
 @pytest.fixture
 def six_cycle() -> Geometry:
     return load_geometry(SIX_CYCLE_TEXT)
+
+
+def successor_function(n: int, pairs) -> SuccessorFunction:
+    """f on n vertices from its (x, f(x)) pairs, undefined (-1) elsewhere; any candidate is accepted."""
+    image = [-1] * n
+    for x, fx in pairs:
+        image[x] = fx
+    return SuccessorFunction(tuple(image))
+
+
+def cover_pairs(cover: PathCover) -> tuple[tuple[int, int], ...]:
+    """The (u, v) steps along the cover's paths, path by path."""
+    return tuple((u, v) for path in cover.paths for u, v in zip(path, path[1:]))
 
 
 def path_geometry(n: int) -> Geometry:
@@ -77,6 +88,9 @@ def no_flow_reason_fault(geom: Geometry, result) -> str | None:
     outside the inputs; a "cyclic-D" cycle must be a closed walk of the
     influencing digraph of one such assignment.
     """
+    # Imported here: the reference module imports this one's helpers.
+    from .extremal_reference import iter_influence_arcs
+
     assignments = saturating_assignments(candidate_lists(geom))
     if result.reason == "no-cover":
         if geom.output_count and next(assignments, None) is not None:
@@ -105,7 +119,7 @@ def first_path_cover(geom: Geometry) -> PathCover | None:
     if geom.output_count == 0:
         return None
     for assignment in saturating_assignments(candidate_lists(geom)):
-        paths = _splice_orbits(n, dict(zip(geom.measured, assignment)))
+        paths = _splice_orbits(successor_function(n, zip(geom.measured, assignment)).image)
         if paths is not None:
             return PathCover(paths)
     return None
@@ -146,7 +160,7 @@ def check_cover(geom: Geometry, cover: PathCover) -> None:
 
 def orbit_cover(geom: Geometry, flow) -> PathCover:
     """The orbits of a flow's f, laid out by ``_splice_orbits`` as ``dump_flow`` writes them."""
-    paths = _splice_orbits(geom.vertex_count, flow.successor.mapping)
+    paths = _splice_orbits(flow.successor.image)
     assert paths is not None, "f is not injective or has a cyclic orbit"
     return PathCover(paths)
 

@@ -20,6 +20,8 @@ from typing import Iterable, Iterator
 from flowscope import CausalFlow, ExtremalPartition, Geometry, PathCover
 from flowscope.flow import _splice_orbits
 
+from .conftest import cover_pairs
+
 
 def iter_influence_arcs(geom: Geometry, pairs: Iterable[tuple[int, int]]) -> Iterator[tuple[int, int]]:
     """Arcs of the influencing digraph of f, given as its (x, f(x)) pairs, read from the adjacency.
@@ -81,7 +83,7 @@ def classify_arcs(geom: Geometry, cover: PathCover) -> dict[tuple[int, int], Arc
     """
     path_of, pos_of, lengths = _path_positions(cover)
     tags: dict[tuple[int, int], ArcKind] = {}
-    for arc in iter_influence_arcs(geom, cover.successor_pairs()):
+    for arc in iter_influence_arcs(geom, cover_pairs(cover)):
         x, y = arc
         p, a = path_of[x], pos_of[x]
         q, b = path_of[y], pos_of[y]
@@ -121,7 +123,7 @@ def lex_acyclicity_certificate(geom: Geometry, cover: PathCover) -> bool:
     outgoing arcs exactly when it is a source of f, since x -> f(x) is one.
     """
     path_of, pos_of, lengths = _path_positions(cover)
-    pairs = cover.successor_pairs()
+    pairs = cover_pairs(cover)
     sources = {x for x, _ in pairs}
     for x, y in iter_influence_arcs(geom, pairs):
         if (pos_of[x], path_of[x]) < (pos_of[y], path_of[y]):
@@ -201,7 +203,7 @@ def orbit_counting_holds(geom: Geometry, flow: CausalFlow, *, tight: bool = Fals
     ``tight``, every pair must share exactly n_i + n_j - 1 edges, as on an
     extremal geometry, where m = gamma(n, k) forces equality throughout.
     """
-    path_of, pos_of, lengths = _path_positions(PathCover(_splice_orbits(geom.vertex_count, flow.successor.mapping)))
+    path_of, pos_of, lengths = _path_positions(PathCover(_splice_orbits(flow.successor.image)))
     shared: dict[tuple[int, int], int] = {}
     for u, v in geom.graph.edges():
         i, j = path_of[u], path_of[v]

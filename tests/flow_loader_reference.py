@@ -15,10 +15,11 @@ from flowscope.flow import (
     CausalFlow,
     FlowFormatError,
     PathCover,
-    SuccessorFunction,
     _check_orbits,
 )
 from flowscope.geometry import Geometry, GeometryError, _gc_paused, load_json_object
+
+from .conftest import successor_function
 
 
 @_gc_paused
@@ -84,6 +85,6 @@ def reference_load_flow(geom: Geometry, text: str) -> tuple[CausalFlow, PathCove
                 raise FlowFormatError(f"paths[{pos}]: expected a list of labels")
             paths.append(tuple(resolve(label, f"paths[{pos}]") for label in raw))
 
-    flow = CausalFlow(SuccessorFunction.from_pairs(pairs), tuple(ranks))
-    _check_orbits(geom, flow.successor.mapping, paths)
+    flow = CausalFlow(successor_function(geom.vertex_count, pairs), tuple(ranks))
+    _check_orbits(geom, flow.successor.image, paths)
     return flow, PathCover(tuple(paths))

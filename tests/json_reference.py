@@ -27,7 +27,7 @@ def reference_serialize_geometry(geom: Geometry) -> str:
 
 def reference_dump_flow(geom: Geometry, flow: CausalFlow, cover: PathCover | None = None) -> str:
     if cover is None:
-        paths = _splice_orbits(geom.vertex_count, flow.successor.mapping)
+        paths = _splice_orbits(flow.successor.image)
         if paths is None:
             raise ValueError("successor orbits contain a cycle; cannot lay out paths")
         cover = PathCover(paths)

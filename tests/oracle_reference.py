@@ -12,7 +12,7 @@ from __future__ import annotations
 from flowscope import CausalFlow, Geometry, OracleBoundError, SuccessorFunction
 from flowscope.flow import DEFAULT_ORACLE_BOUND, _influence_order
 
-from .conftest import candidate_lists
+from .conftest import candidate_lists, successor_function
 
 
 def reference_brute_force_flow(geom: Geometry, *, bound: int = DEFAULT_ORACLE_BOUND) -> CausalFlow | None:
@@ -78,5 +78,6 @@ def reference_brute_force_flow(geom: Geometry, *, bound: int = DEFAULT_ORACLE_BO
     if not search(0):
         return None
 
-    ranks, _cycle = _influence_order(geom, sorted(succ.items()))
-    return CausalFlow(SuccessorFunction.from_pairs(succ.items()), ranks)
+    f = successor_function(n, succ.items())
+    ranks, _cycle = _influence_order(geom, f.image)
+    return CausalFlow(f, ranks)

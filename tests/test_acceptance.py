@@ -20,18 +20,20 @@ from flowscope import (
     MeasurementPattern,
     brute_force_flow,
     draw_angles,
+    dump_flow,
     find_causal_flow,
     flow_from_cover,
     gamma,
     generate_extremal,
     isometry_defect,
+    load_flow,
     load_geometry,
     simulate_postselected,
     verify_flow,
     verify_obstruction,
 )
 
-from .conftest import SIX_CYCLE_TEXT, first_path_cover, no_flow_reason_fault
+from .conftest import SIX_CYCLE_TEXT, cover_pairs, first_path_cover, no_flow_reason_fault, orbit_cover
 from .digraph_reference import influence_order
 from .extremal_reference import lex_acyclicity_certificate, orbit_counting_holds
 
@@ -122,7 +124,7 @@ def test_criterion_2_saturation_sweep(saturation_sweep):
             failures.append((parts, "edge count"))
         if not lex_acyclicity_certificate(geom, cover):
             failures.append((parts, "lex certificate"))
-        ranks, _ = influence_order(geom, cover.successor_pairs())
+        ranks, _ = influence_order(geom, cover_pairs(cover))
         if ranks is None:
             failures.append((parts, "acyclic_order"))
         if search.status != "found" or not verify_flow(geom, search.flow).ok:
@@ -183,6 +185,24 @@ def test_criterion_4_oracle_equivalence(small_geometry_sweep):
         f"{len(small_geometry_sweep)} instances, disagreements={disagreements}, "
         f"undecided={undecided}, unsound={unsound}, miscounted={miscounted}",
     )
+
+
+def test_flow_images_are_undefined_exactly_on_the_outputs(small_geometry_sweep):
+    # Every way a flow is made: the greedy, a cover, the oracle and a file.
+    checked = 0
+    bad = 0
+    for geom, oracle, result in small_geometry_sweep:
+        if result.status != "found":
+            continue
+        from_cover = flow_from_cover(geom, orbit_cover(geom, result.flow)).flow
+        loaded, _cover = load_flow(geom, dump_flow(geom, result.flow))
+        for flow in (result.flow, from_cover, oracle, loaded):
+            image, pairs = flow.successor.image, flow.successor.pairs
+            undefined = {v for v, fv in enumerate(image) if fv == -1}
+            ascending = all(a < b for a, b in zip(pairs, pairs[1:]))
+            checked += 1
+            bad += len(image) != geom.vertex_count or undefined != geom.outputs or not ascending
+    report("4c (flow images)", checked > 0 and bad == 0, f"{checked} flows, bad={bad}")
 
 
 def test_no_flow_certificates_verify(small_geometry_sweep):

@@ -19,16 +19,18 @@ from flowscope import (
     Graph,
     LinearMap,
     PathCover,
-    SuccessorFunction,
+    brute_force_flow,
     cli,
+    dump_flow,
     find_causal_flow,
     flow_from_cover,
     generate_extremal,
+    load_geometry,
     serialize_geometry,
 )
 from flowscope.cli import main
 
-from .conftest import SIX_CYCLE_TEXT
+from .conftest import SIX_CYCLE_TEXT, successor_function
 from .test_flow import plus_one_edge
 
 
@@ -185,31 +187,32 @@ class TestFindFlow:
         code, out, _ = run_cli(capsys, "find-flow", path_file, "--oracle")
         assert code == 0
 
-    def test_oracle_bound_env_override(self, capsys, tmp_path, monkeypatch):
-        labels = [f"n{i}" for i in range(11)]
-        payload = {
-            "vertices": labels,
-            "edges": [[labels[i], labels[i + 1]] for i in range(10)],
-            "inputs": [labels[0]],
-            "outputs": [labels[10]],
-        }
-        f = tmp_path / "eleven.json"
-        f.write_text(json.dumps(payload))
-        code, _, err = run_cli(capsys, "find-flow", str(f), "--oracle")
-        assert code == 2
-        assert "oracle bound" in err
-        monkeypatch.setenv("FLOWSCOPE_ORACLE_BOUND", "11")
-        code, out, _ = run_cli(capsys, "find-flow", str(f), "--oracle")
-        assert code == 0
-
     def test_oracle_on_long_path_under_raised_bound(self, capsys, tmp_path, monkeypatch):
+        # The CLI's oracle keeps its default bound, and the environment
+        # cannot raise it; called with a raised bound, the oracle writes
+        # the greedy's file byte for byte, as the path's flow is unique.
         f = tmp_path / "path1200.json"
         code, _, _ = run_cli(capsys, "gen-extremal", "--partition", "1200", "--out", str(f))
         assert code == 0
         monkeypatch.setenv("FLOWSCOPE_ORACLE_BOUND", "1500")
-        code, out, _ = run_cli(capsys, "find-flow", str(f), "--oracle")
-        assert code == 0
-        assert verdict_line(out) == "VERDICT: flow-found reason=oracle"
+        code, out, err = run_cli(capsys, "find-flow", str(f), "--oracle")
+        assert (code, out) == (2, "VERDICT: error reason=input\n")
+        assert err == "error: instance has 1200 vertices; oracle bound is 10\n"
+        greedy = tmp_path / "greedy.json"
+        code, out, _ = run_cli(capsys, "find-flow", str(f), "--out", str(greedy))
+        assert verdict_line(out) == "VERDICT: flow-found"
+        geom = load_geometry(f.read_text())
+        assert dump_flow(geom, brute_force_flow(geom, bound=1500)) == greedy.read_text()
+
+    def test_oracle_no_flow_is_checked_against_the_greedy(self, capsys, monkeypatch, tmp_path):
+        # The (2,3) extremal geometry has a flow, so an oracle that finds
+        # none contradicts the greedy's verdict: exit 4, and no verdict.
+        f = tmp_path / "g23.json"
+        run_cli(capsys, "gen-extremal", "--partition", "2,3", "--out", str(f))
+        monkeypatch.setattr(cli, "brute_force_flow", lambda geom, **_: None)
+        code, out, err = run_cli(capsys, "find-flow", str(f), "--oracle")
+        assert (code, out) == (cli.EXIT_INTERNAL, "VERDICT: error reason=internal\n")
+        assert err == "error: internal: AssertionError: no-flow verdict (oracle) fails its certificate check\n"
 
     def test_duplicate_geometry_key_exits_2(self, capsys, tmp_path):
         f = tmp_path / "dup.json"
@@ -365,9 +368,9 @@ class TestInternalErrors:
             FlowSearchResult("no-flow", reason="no-cover"),
             FlowSearchResult("no-flow", reason="edge-bound"),
             FlowSearchResult(
-                "found", flow=CausalFlow(SuccessorFunction.from_pairs([(0, 3), (1, 4), (2, 5)]), (0,) * 6)
+                "found", flow=CausalFlow(successor_function(6, [(0, 3), (1, 4), (2, 5)]), (0,) * 6)
             ),
-            FlowSearchResult("found", flow=CausalFlow(SuccessorFunction.from_pairs([(0, 3)]), (0,) * 6)),
+            FlowSearchResult("found", flow=CausalFlow(successor_function(6, [(0, 3)]), (0,) * 6)),
         ],
         ids=["bad-obstruction", "no-obstruction", "edges-within-gamma", "flow-fails", "flow-off-domain"],
     )
@@ -533,12 +536,6 @@ class TestInputErrorBranches:
         flow_file = tmp_path / "f.json"
         run_cli(capsys, "find-flow", path_file, "--out", str(flow_file))
         return str(flow_file)
-
-    def test_oracle_bound_must_be_an_integer(self, capsys, monkeypatch, path_file):
-        monkeypatch.setenv("FLOWSCOPE_ORACLE_BOUND", "abc")
-        code, out, err = run_cli(capsys, "find-flow", path_file, "--oracle")
-        assert (code, out) == (2, "VERDICT: error reason=input\n")
-        assert err == "error: FLOWSCOPE_ORACLE_BOUND must be an integer, got 'abc'\n"
 
     @pytest.mark.parametrize(
         "angles, message",
@@ -851,7 +848,6 @@ def test_golden_transcript(capsys, tmp_path, monkeypatch, case):
     """Every byte of stdout and stderr, the exit code and each written file."""
     argv, code, out, err, written = case
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("FLOWSCOPE_ORACLE_BOUND", raising=False)
     for name, text in TRANSCRIPT_FILES.items():
         (tmp_path / name).write_text(text)
     assert run_cli(capsys, *argv) == (code, out, err)

@@ -12,7 +12,6 @@ from flowscope import (
     Geometry,
     Graph,
     PathCover,
-    SuccessorFunction,
     brute_force_flow,
     dump_flow,
     find_causal_flow,
@@ -26,7 +25,7 @@ from flowscope import (
 
 from flowscope.flow import DEFAULT_ORACLE_BOUND
 
-from .conftest import check_cover, relabel
+from .conftest import check_cover, cover_pairs, relabel, successor_function
 from .digraph_reference import influence_arcs, influence_order
 from .extremal_reference import (
     ArcKind,
@@ -200,7 +199,7 @@ class TestClassifyArcs:
         for parts in iter_partitions(n):
             geom, cover = generate_extremal(ExtremalPartition(parts))
             tags = classify_arcs(geom, cover)
-            assert set(tags) == set(influence_arcs(geom, cover.successor_pairs()))
+            assert set(tags) == set(influence_arcs(geom, cover_pairs(cover)))
             path_of = {}
             for idx, path in enumerate(cover.paths):
                 for v in path:
@@ -220,7 +219,7 @@ class TestClassifyArcs:
 def reference_lex_verdict(geom: Geometry, cover: PathCover) -> bool:
     """The lex certificate's rule on the reference arcs, with out-degrees counted from them."""
     spot = {v: (pos, idx) for idx, path in enumerate(cover.paths) for pos, v in enumerate(path)}
-    arcs = influence_arcs(geom, cover.successor_pairs())
+    arcs = influence_arcs(geom, cover_pairs(cover))
     tails = {x for x, _ in arcs}
     return all(
         spot[x] < spot[y] or (spot[y][0] == len(cover.paths[spot[y][1]]) - 1 and y not in tails)
@@ -243,7 +242,7 @@ class TestLexCertificate:
             geom, cover = generate_extremal(ExtremalPartition(parts))
             assert lex_acyclicity_certificate(geom, cover), parts
             assert reference_lex_verdict(geom, cover), parts
-            ranks, _ = influence_order(geom, cover.successor_pairs())
+            ranks, _ = influence_order(geom, cover_pairs(cover))
             assert ranks is not None, parts
 
     def test_fails_on_chorded_path(self):
@@ -304,7 +303,7 @@ class TestOrbitCounting:
     @staticmethod
     def along(geom: Geometry, *pairs: tuple[int, int]) -> CausalFlow:
         # The oracle reads only f, so every rank may be 0.
-        return CausalFlow(SuccessorFunction.from_pairs(pairs), (0,) * geom.vertex_count)
+        return CausalFlow(successor_function(geom.vertex_count, pairs), (0,) * geom.vertex_count)
 
     def test_extremal_flow_is_tight(self):
         geom, cover = generate_extremal(ExtremalPartition((2, 3, 3)))
@@ -418,7 +417,7 @@ def test_greedy_returns_the_unique_flow():
         partition = random_partition(rng, 5000)
         geom, cover = generate_extremal(partition)
         assert len(geom.inputs) == len(geom.outputs) == partition.k
-        assert find_causal_flow(geom).flow.successor.pairs == tuple(sorted(cover.successor_pairs())), partition
+        assert find_causal_flow(geom).flow.successor.pairs == tuple(sorted(cover_pairs(cover))), partition
 
 
 def test_extremal_cover_is_written_in_orbit_order():

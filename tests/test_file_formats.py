@@ -32,7 +32,7 @@ from flowscope import (
 from flowscope.flow import _splice_orbits
 from flowscope.geometry import EdgeError
 
-from .conftest import geometries
+from .conftest import geometries, successor_function
 from .json_reference import reference_dump_flow, reference_serialize_geometry
 
 # Labels that exercise every escape json.dumps makes: quotes, backslashes,
@@ -117,29 +117,29 @@ class TestByteIdentity:
         loaded = load_geometry(serialize_geometry(geom))
         cover = PathCover(tuple(tuple(loaded.id_of(f"r{i}c{j}") for j in range(cols)) for i in range(rows)))
         res = flow_from_cover(loaded, cover)
-        assert cover.paths != _splice_orbits(rows * cols, res.flow.successor.mapping)
+        assert cover.paths != _splice_orbits(res.flow.successor.image)
         reread, reread_cover = load_flow(loaded, dump_flow(loaded, res.flow, cover))
         assert reread == res.flow
         assert reread_cover == cover
 
     @pytest.mark.parametrize(
-        "pairs, paths, error, message",
+        "image, paths, error, message",
         [
-            ([(0, 3), (1, 4), (2, -1)], ((0, 3), (1, 4), (2, 5)), FlowDomainError, "f('a2') = -1 is not a vertex"),
+            ((3, 4, -2, -1, -1, -1), ((0, 3), (1, 4), (2, 5)), FlowDomainError, "f('a2') = -2 is not a vertex"),
             (
-                [(0, 3), (1, 4), (7, 5)],
+                (3, 4, 5, -1, -1, -1, -1),
                 ((0, 3), (1, 4), (2, 5)),
                 FlowDomainError,
-                "f is defined on 7, which is not a vertex",
+                "image of f has 7 entries for 6 vertices",
             ),
-            ([(0, 3), (1, 4), (2, 5)], ((0, 3), (1, 4), (2, 6)), GeometryError, "unknown vertex 6"),
-            ([(0, 7)], None, FlowDomainError, "f('a0') = 7 is not a vertex"),
+            ((3, 4, 5, -1, -1, -1), ((0, 3), (1, 4), (2, 6)), GeometryError, "unknown vertex 6"),
+            ((7, -1, -1, -1, -1, -1), None, FlowDomainError, "f('a0') = 7 is not a vertex"),
         ],
         ids=["pairs0-paths0", "pairs1-paths1", "pairs2-paths2", "pairs3-None"],
     )
-    def test_unknown_vertex_in_flow_rejected(self, six_cycle, pairs, paths, error, message):
+    def test_unknown_vertex_in_flow_rejected(self, six_cycle, image, paths, error, message):
         # f's shape is checked before the cover is read.
-        flow = CausalFlow(SuccessorFunction.from_pairs(pairs), (0,) * 6)
+        flow = CausalFlow(SuccessorFunction(image), (0,) * 6)
         with pytest.raises(error) as exc:
             dump_flow(six_cycle, flow, paths and PathCover(paths))
         assert str(exc.value) == message
@@ -159,7 +159,7 @@ class TestByteIdentity:
         # shape of a flow, so dump_flow gets as far as laying out its orbits.
         domain = frozenset(x for x, _ in pairs)
         geom = Geometry(six_cycle.graph, frozenset(), frozenset(range(6)) - domain, six_cycle.labels)
-        flow = CausalFlow(SuccessorFunction.from_pairs(pairs), (0,) * 6)
+        flow = CausalFlow(successor_function(6, pairs), (0,) * 6)
         with pytest.raises(ValueError, match="^f is not injective or has a cyclic orbit; cannot lay out paths$"):
             dump_flow(geom, flow)
 

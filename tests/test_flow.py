@@ -38,12 +38,14 @@ from flowscope.flow import _influence_order, _splice_orbits
 from .conftest import (
     candidate_lists,
     check_cover,
+    cover_pairs,
     first_path_cover,
     geometries,
     no_flow_reason_fault,
     orbit_cover,
     path_geometry,
     saturating_assignments,
+    successor_function,
 )
 from .digraph_reference import acyclic_order, influence_arcs, influence_order
 from .extremal_reference import iter_influence_arcs, orbit_counting_holds
@@ -163,7 +165,7 @@ def forced_six_cycle_flow() -> CausalFlow:
     # f(a_i) = b_i with ranks putting every a before every b, so only the
     # neighbourhood condition can fail.
     return CausalFlow(
-        SuccessorFunction.from_pairs([(0, 3), (1, 4), (2, 5)]),
+        successor_function(6, [(0, 3), (1, 4), (2, 5)]),
         (0, 1, 2, 10, 11, 12),
     )
 
@@ -171,12 +173,12 @@ def forced_six_cycle_flow() -> CausalFlow:
 class TestVerifyFlow:
     def test_path_flow_accepted(self):
         geom = path_geometry(3)
-        flow = CausalFlow(SuccessorFunction.from_pairs([(0, 1), (1, 2)]), (0, 1, 2))
+        flow = CausalFlow(successor_function(3, [(0, 1), (1, 2)]), (0, 1, 2))
         assert verify_flow(geom, flow).ok
 
     def test_non_adjacent_image_rejected(self):
         geom = path_geometry(3)
-        flow = CausalFlow(SuccessorFunction.from_pairs([(0, 2), (1, 2)]), (0, 1, 2))
+        flow = CausalFlow(successor_function(3, [(0, 2), (1, 2)]), (0, 1, 2))
         check = verify_flow(geom, flow)
         assert not check.ok
         assert check.condition == "adjacency"
@@ -191,13 +193,13 @@ class TestVerifyFlow:
 
     def test_successor_order_violation(self):
         geom = path_geometry(2)
-        flow = CausalFlow(SuccessorFunction.from_pairs([(0, 1)]), (1, 0))
+        flow = CausalFlow(successor_function(2, [(0, 1)]), (1, 0))
         check = verify_flow(geom, flow)
         assert check.condition == "successor-order"
 
     def test_domain_mismatch_raises(self):
         geom = path_geometry(3)
-        flow = CausalFlow(SuccessorFunction.from_pairs([(0, 1)]), (0, 1, 2))
+        flow = CausalFlow(successor_function(3, [(0, 1)]), (0, 1, 2))
         with pytest.raises(FlowDomainError, match="undefined"):
             verify_flow(geom, flow)
 
@@ -206,26 +208,26 @@ class TestFlowShape:
     """One rule for a flow's shape, and the same refusal from each caller that checks it."""
 
     @pytest.mark.parametrize(
-        "pairs, ranks, message",
+        "image, ranks, message",
         [
-            ([(0, 1), (1.0, 2)], (0, 1, 2), "f is defined on 1.0, which is not a vertex"),
-            ([(0, 1), (1, 2), (99, 2)], (0, 1, 2), "f is defined on 99, which is not a vertex"),
-            ([(0, 1.0), (1, 2)], (0, 1, 2), "f('0') = 1.0 is not a vertex"),
-            ([(0, 1), (1, 2.5)], (0, 1, 2), "f('1') = 2.5 is not a vertex"),
-            ([(0, "1"), (1, 2)], (0, 1, 2), "f('0') = '1' is not a vertex"),
-            ([(0, 1), (1, 3)], (0, 1, 2), "f('1') = 3 is not a vertex"),
-            ([(0, 1), (1, 2), (2, 1)], (0, 1, 2), "f is defined on output vertex '2'"),
-            ([(0, 1)], (0, 1, 2), "f is undefined on measured vertex '1'"),
-            ([(0, 1), (1, 0)], (0, 1, 2), "f('1') = '0' lies in the input set"),
-            ([(0, 1), (1, 2)], (0, 1), "missing rank for vertex '2'"),
-            ([(0, 1), (1, 2)], (0, 1, 2, 7), "rank map has 4 ranks for 3 vertices"),
-            ([(0, 1), (1, 2)], (0, True, 2), "ranks['1']: expected a non-negative integer"),
-            ([(0, 1), (1, 2)], (0, 1.5, 2), "ranks['1']: expected a non-negative integer"),
-            ([(0, 1), (1, 2)], (0, 1, -1), "ranks['2']: expected a non-negative integer"),
+            ((1, 2), (0, 1, 2), "image of f has 2 entries for 3 vertices"),
+            ((1, 2, -1, -1), (0, 1, 2), "image of f has 4 entries for 3 vertices"),
+            ((1.0, 2, -1), (0, 1, 2), "f('0') = 1.0 is not a vertex"),
+            ((1, 2.5, -1), (0, 1, 2), "f('1') = 2.5 is not a vertex"),
+            (("1", 2, -1), (0, 1, 2), "f('0') = '1' is not a vertex"),
+            ((1, 3, -1), (0, 1, 2), "f('1') = 3 is not a vertex"),
+            ((1, 2, 1), (0, 1, 2), "f is defined on output vertex '2'"),
+            ((1, -1, -1), (0, 1, 2), "f is undefined on measured vertex '1'"),
+            ((1, 0, -1), (0, 1, 2), "f('1') = '0' lies in the input set"),
+            ((1, 2, -1), (0, 1), "missing rank for vertex '2'"),
+            ((1, 2, -1), (0, 1, 2, 7), "rank map has 4 ranks for 3 vertices"),
+            ((1, 2, -1), (0, True, 2), "ranks['1']: expected a non-negative integer"),
+            ((1, 2, -1), (0, 1.5, 2), "ranks['1']: expected a non-negative integer"),
+            ((1, 2, -1), (0, 1, -1), "ranks['2']: expected a non-negative integer"),
         ],
         ids=[
-            "float-key",
-            "unknown-key",
+            "short-image",
+            "long-image",
             "float-value",
             "fractional-value",
             "string-value",
@@ -240,11 +242,11 @@ class TestFlowShape:
             "negative-rank",
         ],
     )
-    def test_refused_alike_by_every_caller(self, pairs, ranks, message):
-        # The 3-vertex path with I = {0} and O = {2}; from_pairs accepts
-        # any candidate, and each caller checks the shape before it reads f.
+    def test_refused_alike_by_every_caller(self, image, ranks, message):
+        # The 3-vertex path with I = {0} and O = {2}; a SuccessorFunction
+        # holds any image, and each caller checks the shape before it reads f.
         geom = path_geometry(3)
-        flow = CausalFlow(SuccessorFunction.from_pairs(pairs), ranks)
+        flow = CausalFlow(SuccessorFunction(image), ranks)
         pattern = MeasurementPattern(geom, flow, {0: 0.1, 1: 0.2})
         messages = []
         for call in (verify_flow, dump_flow):
@@ -258,19 +260,19 @@ class TestFlowShape:
 
 
 class TestSuccessorFunction:
-    """``from_pairs`` accepts any candidate; ``verify_flow`` checks the contract."""
+    """A SuccessorFunction holds any candidate; ``verify_flow`` checks the contract."""
 
     def test_rejects_non_injective(self):
         g = Graph.from_edges(3, [(0, 2), (1, 2)])
         geom = Geometry(g, frozenset(), frozenset({2}))
-        flow = CausalFlow(SuccessorFunction.from_pairs([(0, 2), (1, 2)]), (0, 1, 2))
+        flow = CausalFlow(successor_function(3, [(0, 2), (1, 2)]), (0, 1, 2))
         check = verify_flow(geom, flow)
         assert check.condition == "neighborhood-order"
         assert check.witness == (1, 0)
 
     def test_rejects_non_adjacent(self):
         geom = path_geometry(3)
-        flow = CausalFlow(SuccessorFunction.from_pairs([(0, 2), (1, 2)]), (0, 1, 2))
+        flow = CausalFlow(successor_function(3, [(0, 2), (1, 2)]), (0, 1, 2))
         check = verify_flow(geom, flow)
         assert check.condition == "adjacency"
         assert check.witness == (0, 2)
@@ -352,7 +354,7 @@ class TestImplicitInfluencingDigraph:
     def test_cyclic_cover_gives_reference_cycle(self, six_cycle):
         cover = PathCover(((0, 3), (1, 4), (2, 5)))
         res = flow_from_cover(six_cycle, cover)
-        _, reference_cycle = influence_order(six_cycle, cover.successor_pairs())
+        _, reference_cycle = influence_order(six_cycle, cover_pairs(cover))
         assert (res.status, res.reason) == ("no-flow", "cyclic-D")
         assert res.cycle == reference_cycle == (0, 1, 2)
 
@@ -365,7 +367,7 @@ class TestImplicitInfluencingDigraph:
         res = flow_from_cover(geom, cover)
         if res.reason == "edge-bound":
             return
-        ranks, cycle = influence_order(geom, cover.successor_pairs())
+        ranks, cycle = influence_order(geom, cover_pairs(cover))
         if ranks is not None:
             assert res.flow.order_rank == ranks
         else:
@@ -377,7 +379,7 @@ class TestImplicitInfluencingDigraph:
         grid = grid_geometry(len(parts), parts[-1])
         grid_cover = PathCover(tuple(tuple(range(i * parts[-1], (i + 1) * parts[-1])) for i in range(len(parts))))
         for g, c in ((geom, cover), (grid, grid_cover)):
-            reference_ranks, _ = influence_order(g, c.successor_pairs())
+            reference_ranks, _ = influence_order(g, cover_pairs(c))
             assert flow_from_cover(g, c).flow.order_rank == reference_ranks
 
     def test_work_is_exactly_linear_on_extremal_k5(self):
@@ -389,7 +391,7 @@ class TestImplicitInfluencingDigraph:
         for n in (10_000, 20_000, 40_000):
             geom, cover = generate_extremal(ExtremalPartition((n // 5,) * 5))
             counting, reads = counting_geometry(geom)
-            ranks, _ = _influence_order(counting, cover.successor_pairs())
+            ranks, _ = _influence_order(counting, successor_function(geom.vertex_count, cover_pairs(cover)).image)
             assert ranks == flow_from_cover(geom, cover).flow.order_rank
             assert reads[0] == 6 * geom.graph.edge_count - 105, n
 
@@ -417,7 +419,7 @@ class TestPathCover:
     def test_two_cycle_splice_rejected(self):
         # single edge, no inputs or outputs: the only saturating matching
         # splices into a 2-cycle, so no cover exists
-        assert _splice_orbits(2, {0: 1, 1: 0}) is None
+        assert _splice_orbits((1, 0)) is None
         g = Graph.from_edges(2, [(0, 1)])
         geom = Geometry(g, frozenset(), frozenset())
         assert first_path_cover(geom) is None
@@ -435,7 +437,7 @@ class TestPathCover:
             (((0, 3),), r"paths but", r"^paths: vertex 'a1' is on no path$"),
         ]
         # Written into a flow file beside f(a_i) = b_i, neither lists the orbits of f.
-        flow = CausalFlow(SuccessorFunction.from_pairs([(0, 3), (1, 4), (2, 5)]), (0,) * 6)
+        flow = CausalFlow(successor_function(6, [(0, 3), (1, 4), (2, 5)]), (0,) * 6)
         for paths, cover_message, file_message in bad:
             with pytest.raises(ValueError, match=cover_message):
                 check_cover(six_cycle, PathCover(paths))
@@ -452,7 +454,7 @@ class TestPathCover:
         # In a flow file the path is the orbit of f, so it loads; the input
         # in its middle is f(0), which verify_flow rejects.  dump_flow
         # refuses such a flow, so the reference renderer writes the file.
-        flow = CausalFlow(SuccessorFunction.from_pairs([(0, 1), (1, 2)]), (0, 1, 2))
+        flow = CausalFlow(successor_function(3, [(0, 1), (1, 2)]), (0, 1, 2))
         loaded, _ = load_flow(geom, reference_dump_flow(geom, flow, cover))
         with pytest.raises(FlowDomainError, match="input set"):
             verify_flow(geom, loaded)
@@ -670,7 +672,7 @@ class TestBruteForceOracle:
         geom = Geometry(g, frozenset({0}), frozenset({3, 2}))
         flow = brute_force_flow(geom)
         assert flow is not None
-        assert flow.successor.mapping[0] == 1
+        assert flow.successor.image[0] == 1
 
     @given(geometries(max_vertices=5))
     @settings(max_examples=120, deadline=None)
@@ -802,5 +804,5 @@ def test_found_flows_reconstruct_as_covers(geom):
     # the search lays out no cover; the orbits of f form one
     assert res.cover is None
     cover = orbit_cover(geom, res.flow)
-    assert dict(cover.successor_pairs()) == res.flow.successor.mapping
+    assert successor_function(geom.vertex_count, cover_pairs(cover)) == res.flow.successor
     check_cover(geom, cover)

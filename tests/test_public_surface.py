@@ -90,7 +90,7 @@ def test_matching_module_is_gone():
 
 EDGE = Graph(2, ((1,), (0,)), 1)
 GEOM = Geometry(EDGE, frozenset({0}), frozenset({1}), ("a", "b"))
-FLOW = CausalFlow(SuccessorFunction(((0, 1),)), (0, 1))
+FLOW = CausalFlow(SuccessorFunction((1, -1)), (0, 1))
 
 # Each public value class with a value for every field, in field order, the
 # defaults of its optional fields, and one field set to another value.
@@ -102,7 +102,7 @@ VALUE_CLASSES = [
         {"labels": None},
         {"inputs": frozenset()},
     ),
-    (SuccessorFunction, {"pairs": ((0, 1),)}, {}, {"pairs": ()}),
+    (SuccessorFunction, {"image": (1, -1)}, {}, {"image": (-1, -1)}),
     (PathCover, {"paths": ((0, 1),)}, {}, {"paths": ((1, 0),)}),
     (CausalFlow, {"successor": FLOW.successor, "order_rank": (0, 1)}, {}, {"order_rank": (0, 2)}),
     (

@@ -19,7 +19,6 @@ from flowscope import (
     LinearMap,
     MeasurementPattern,
     SimulationBoundError,
-    SuccessorFunction,
     ZeroMapError,
     draw_angles,
     find_causal_flow,
@@ -30,7 +29,7 @@ from flowscope import (
 )
 from flowscope.simulate import _basis_bits
 
-from .conftest import path_geometry, relabel
+from .conftest import path_geometry, relabel, successor_function
 from .dense_reference import dense_defect, dense_simulate
 from .test_acceptance import iter_partitions
 from .test_flow import forced_six_cycle_flow, random_geometry
@@ -67,7 +66,7 @@ class TestMeasurementOrder:
         assert measurement_order(res.flow) == measurement_order(res.flow)
 
     def test_ties_break_by_vertex_id(self):
-        succ = SuccessorFunction.from_pairs([(2, 5), (0, 3), (1, 4)])
+        succ = successor_function(6, [(2, 5), (0, 3), (1, 4)])
         flow = CausalFlow(succ, (1, 0, 1, 2, 2, 2))
         assert measurement_order(flow) == [1, 0, 2]
 
@@ -145,7 +144,7 @@ class TestSimulatePostselected:
             ([(0, 1)], "f is undefined on measured vertex '1'"),
             ([(0, 1), (1, 2), (2, 1)], "f is defined on output vertex '2'"),
         ]:
-            flow = CausalFlow(SuccessorFunction.from_pairs(pairs), (0, 1, 2))
+            flow = CausalFlow(successor_function(3, pairs), (0, 1, 2))
             pattern = MeasurementPattern(geom, flow, {0: 0.1, 1: 0.2})
             with pytest.raises(FlowDomainError, match=f"^{message}$"):
                 simulate_postselected(pattern)
