@@ -20,16 +20,13 @@ from flowscope.flow import (
     FlowCheck,
     FlowDomainError,
     FlowFormatError,
-    FlowSearchResult,
-    OracleBoundError,
+    _certificate_holds,
     _exceeds_gamma,
-    brute_force_flow,
     dump_flow,
     find_causal_flow,
     flow_from_cover,
     load_flow,
     verify_flow,
-    verify_obstruction,
 )
 from flowscope.geometry import Geometry, GeometryError, load_geometry, serialize_geometry
 from flowscope.simulate import (
@@ -60,7 +57,6 @@ STATUS_EXIT = {
 
 # The first line of a find-flow report without a flow, by reason.
 NO_FLOW_LINES = {
-    "oracle": "oracle: no causal flow exists",
     "edge-bound": "no flow: edge count exceeds the gamma bound",
     "no-cover": "no flow: measured vertices cannot all be matched to partners",
     "cyclic-D": "no flow: every candidate matching induces a cyclic influencing digraph",
@@ -84,7 +80,7 @@ class Report:
 
     def finish(self, status: str, stream=None, **extras: object) -> int:
         """Add the verdict, print all lines to ``stream`` (default stdout), return the exit code."""
-        tail = "".join(f" {key}={value}" for key, value in extras.items() if value is not None)
+        tail = "".join(f" {key}={value}" for key, value in extras.items())
         self.lines.append(f"VERDICT: {status}{tail}")
         print("\n".join(self.lines), file=stream if stream is not None else sys.stdout)
         return STATUS_EXIT[status]
@@ -118,48 +114,26 @@ def cmd_find_flow(args: argparse.Namespace) -> int:
         f"geometry: n={geom.vertex_count} m={geom.graph.edge_count} "
         f"inputs={len(geom.inputs)} outputs={geom.output_count}"
     )
-    if not args.oracle:
-        result = find_causal_flow(geom)
-    elif (flow := brute_force_flow(geom)) is not None:
-        result = FlowSearchResult("found", flow=flow)
-    else:
-        result = FlowSearchResult("no-flow", reason="oracle")
+    result = find_causal_flow(geom)
     if not _certificate_holds(geom, result):
         # Exit 4, so that no wrong verdict is printed.
         raise AssertionError(f"{result.status} verdict ({result.reason}) fails its certificate check")
-
     if result.status == "found":
-        flow = result.flow
-        report.say("oracle: flow found" if args.oracle else "flow found")
+        report.say("flow found")
         if geom.vertex_count <= 20:
-            for x, y in flow.successor.pairs:
+            for x, y in result.flow.successor.pairs:
                 report.say(f"f({geom.label_of(x)}) = {geom.label_of(y)}")
-        report.say(f"depth: {flow.depth}")
+        report.say(f"depth: {result.flow.depth}")
         if args.out:
-            Path(args.out).write_text(dump_flow(geom, flow))
+            Path(args.out).write_text(dump_flow(geom, result.flow))
             report.say(f"wrote flow to {args.out}")
-        return report.finish("flow-found", reason="oracle" if args.oracle else None)
+        return report.finish("flow-found")
     report.say(NO_FLOW_LINES[result.reason])
     if result.cycle:
         report.say("cycle witness: " + " -> ".join(geom.label_of(v) for v in result.cycle))
     if result.obstruction:
         report.say("obstruction: " + " ".join(geom.label_of(v) for v in result.obstruction))
     return report.finish("no-flow", reason=result.reason)
-
-
-def _certificate_holds(geom: Geometry, result: FlowSearchResult) -> bool:
-    """Whether a verdict's certificate holds: its flow, its edge count, its obstruction, or the greedy's."""
-    try:
-        if result.status == "found":
-            return verify_flow(geom, result.flow).ok
-        if result.reason == "edge-bound":
-            return _exceeds_gamma(geom)
-        if result.reason == "oracle":
-            greedy = find_causal_flow(geom)
-            return greedy.status == "no-flow" and _certificate_holds(geom, greedy)
-        return verify_obstruction(geom, result.obstruction or ())
-    except FlowDomainError:
-        return False
 
 
 def _load_checked_flow(args: argparse.Namespace) -> tuple[Geometry, CausalFlow, FlowCheck]:
@@ -300,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("find-flow", parents=[common], help="decide flow existence, construct one")
     p.add_argument("geometry")
-    p.add_argument("--oracle", action="store_true", help="use the exhaustive oracle")
     p.add_argument("--out", help="write the found flow to this file")
     p.set_defaults(handler=cmd_find_flow)
 
@@ -348,7 +321,6 @@ def main(argv: list[str] | None = None) -> int:
         GeometryError,
         FlowFormatError,
         FlowDomainError,
-        OracleBoundError,
         SimulationBoundError,
         OSError,
     ) as exc:

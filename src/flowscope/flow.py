@@ -10,9 +10,9 @@ optimal flows efficiently", arXiv:0709.2670) in O(n + m): starting from
 the outputs, a processed vertex with exactly one unprocessed neighbour
 becomes that neighbour's partner.  The greedy is complete, so every
 geometry is decided, and the flow it builds has minimum depth.  When it
-stalls, the vertices it never processed form a no-flow certificate that
-``verify_obstruction`` checks in O(n + m), and completing the greedy's
-partial matching names the reason.
+stalls, the vertices it never processed form a no-flow certificate, and
+completing the greedy's partial matching names the reason.  Every
+verdict's certificate is checked in one place, ``_certificate_holds``.
 """
 
 from __future__ import annotations
@@ -427,7 +427,9 @@ def _complete_matching(geom: Geometry, image: list[int], exposed: list[int]) -> 
     saturates it and the answer is False.  Otherwise each exposed vertex,
     ascending, augments along strictly falling layers through vertices
     not yet used in the phase, and those that fail wait for the next
-    phase.  A root on layer 0 takes its first free partner.
+    phase.  A root on layer 0 takes its first free partner.  On the
+    greedy's image only ``exposed`` changes, and every cycle of the result
+    lies in it, since no greedy partner has an unprocessed neighbour.
     """
     n = geom.vertex_count
     adj = geom.graph.adjacency
@@ -440,7 +442,6 @@ def _complete_matching(geom: Geometry, image: list[int], exposed: list[int]) -> 
     unlayered = [n if v in geom.outputs else -1 for v in range(n)]
     free = [y for y in range(n) if owner[y] < 0 and y not in inputs]
     while exposed:
-        free = [y for y in free if owner[y] < 0]
         layer = unlayered[:]
         partners, depth = free, 0
         while partners:
@@ -481,6 +482,7 @@ def _complete_matching(geom: Geometry, image: list[int], exposed: list[int]) -> 
                     path.pop()
                     scans.pop()
         exposed = [x for x in exposed if image[x] < 0]
+        free = [y for y in free if owner[y] < 0]
     return True
 
 
@@ -505,6 +507,18 @@ def verify_obstruction(geom: Geometry, obstruction: Iterable[int]) -> bool:
             for w in nbrs:
                 hits[w] += 1
     return all(hits[w] != 1 for w in range(n) if not inside[w] and w not in geom.inputs)
+
+
+def _certificate_holds(geom: Geometry, result: FlowSearchResult) -> bool:
+    """Whether a verdict's certificate holds: its flow, its edge count, or its obstruction."""
+    try:
+        if result.status == "found":
+            return verify_flow(geom, result.flow).ok
+        if result.reason == "edge-bound":
+            return _exceeds_gamma(geom)
+        return verify_obstruction(geom, result.obstruction or ())
+    except FlowDomainError:
+        return False
 
 
 @_gc_paused

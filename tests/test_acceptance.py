@@ -32,6 +32,7 @@ from flowscope import (
     verify_flow,
     verify_obstruction,
 )
+from flowscope.flow import _backward_greedy, _complete_matching
 
 from .conftest import SIX_CYCLE_TEXT, cover_pairs, first_path_cover, no_flow_reason_fault, orbit_cover
 from .digraph_reference import influence_order
@@ -232,6 +233,30 @@ def test_no_flow_reasons_match_enumeration(small_geometry_sweep):
         "4c (no-flow reasons)",
         checked > 0 and not faults,
         f"{checked} reasons against the saturating assignments, faults={faults[:3]}",
+    )
+
+
+def test_matching_completion_stays_inside_the_obstruction(small_geometry_sweep):
+    # Each greedy partner claimed its last unprocessed neighbour, so
+    # completing the greedy's matching changes f only on the obstruction,
+    # and every cyclic-D cycle lies inside it.
+    completed = cyclic = 0
+    strays = []
+    for geom, _oracle, result in small_geometry_sweep:
+        if result.status != "no-flow" or result.reason == "edge-bound" or geom.output_count == 0:
+            continue
+        image, _layer, unprocessed = _backward_greedy(geom)
+        greedy = image[:]
+        completed += _complete_matching(geom, image, unprocessed)
+        cyclic += result.reason == "cyclic-D"
+        inside = set(result.obstruction)
+        changed = {v for v, fv in enumerate(image) if fv != greedy[v]}
+        if not changed <= inside or not set(result.cycle or ()) <= inside:
+            strays.append(sorted(geom.graph.edges()))
+    report(
+        "4d (matching completion)",
+        cyclic > 0 and completed == cyclic and not strays,
+        f"{completed} completed matchings, {cyclic} cyclic-D cycles, strays={strays[:3]}",
     )
 
 

@@ -23,6 +23,7 @@ from flowscope import (
     cli,
     dump_flow,
     find_causal_flow,
+    flow,
     flow_from_cover,
     generate_extremal,
     load_geometry,
@@ -134,7 +135,7 @@ class TestCheckBound:
         path.write_text(serialize_geometry(geom))
         code, out, _ = run_cli(capsys, "check-bound", str(path), "--porcelain")
         assert (code, out) == (check_bound[0], f"VERDICT: {check_bound[1]}\n")
-        assert cli._certificate_holds(geom, FlowSearchResult("no-flow", reason="edge-bound")) is exceeds
+        assert flow._certificate_holds(geom, FlowSearchResult("no-flow", reason="edge-bound")) is exceeds
 
 
 class TestFindFlow:
@@ -168,51 +169,38 @@ class TestFindFlow:
         assert verdict_line(out) == "VERDICT: flow-found"
         assert "depth: 11" in out
 
-    def test_budget_option_removed(self, capsys, path_file):
+    @pytest.mark.parametrize("option", [["--budget", "0"], ["--oracle"]], ids=["budget", "oracle"])
+    def test_removed_option_is_a_usage_error(self, capsys, path_file, option):
         # A usage error still ends with a verdict line, like every input error.
-        code, out, err = run_cli(capsys, "find-flow", path_file, "--budget", "0")
+        code, out, err = run_cli(capsys, "find-flow", path_file, *option)
         assert code == 2
         assert out == "VERDICT: error reason=input\n"
-        assert "unrecognized arguments: --budget 0" in err
+        assert f"unrecognized arguments: {' '.join(option)}" in err
+
+    @pytest.mark.parametrize("n, f_lines", [(20, 19), (21, 0)])
+    def test_f_lines_printed_up_to_20_vertices(self, capsys, tmp_path, n, f_lines):
+        f = tmp_path / "path.json"
+        run_cli(capsys, "gen-extremal", "--partition", str(n), "--out", str(f))
+        code, out, _ = run_cli(capsys, "find-flow", str(f))
+        assert code == 0
+        assert sum(line.startswith("f(") for line in out.splitlines()) == f_lines
 
     def test_six_cycle_names_obstruction(self, capsys, six_cycle_file):
         code, out, _ = run_cli(capsys, "find-flow", six_cycle_file)
         assert code == 1
         assert "obstruction: a0 a1 a2" in out.splitlines()
 
-    def test_oracle_mode(self, capsys, six_cycle_file, path_file):
-        code, out, _ = run_cli(capsys, "find-flow", six_cycle_file, "--oracle")
-        assert code == 1
-        assert verdict_line(out) == "VERDICT: no-flow reason=oracle"
-        code, out, _ = run_cli(capsys, "find-flow", path_file, "--oracle")
-        assert code == 0
-
-    def test_oracle_on_long_path_under_raised_bound(self, capsys, tmp_path, monkeypatch):
-        # The CLI's oracle keeps its default bound, and the environment
-        # cannot raise it; called with a raised bound, the oracle writes
-        # the greedy's file byte for byte, as the path's flow is unique.
+    def test_greedy_file_matches_oracle_on_long_path(self, capsys, tmp_path):
+        # At a raised bound the oracle writes the greedy's file byte for
+        # byte, as the path's flow is unique.
         f = tmp_path / "path1200.json"
         code, _, _ = run_cli(capsys, "gen-extremal", "--partition", "1200", "--out", str(f))
         assert code == 0
-        monkeypatch.setenv("FLOWSCOPE_ORACLE_BOUND", "1500")
-        code, out, err = run_cli(capsys, "find-flow", str(f), "--oracle")
-        assert (code, out) == (2, "VERDICT: error reason=input\n")
-        assert err == "error: instance has 1200 vertices; oracle bound is 10\n"
         greedy = tmp_path / "greedy.json"
         code, out, _ = run_cli(capsys, "find-flow", str(f), "--out", str(greedy))
         assert verdict_line(out) == "VERDICT: flow-found"
         geom = load_geometry(f.read_text())
         assert dump_flow(geom, brute_force_flow(geom, bound=1500)) == greedy.read_text()
-
-    def test_oracle_no_flow_is_checked_against_the_greedy(self, capsys, monkeypatch, tmp_path):
-        # The (2,3) extremal geometry has a flow, so an oracle that finds
-        # none contradicts the greedy's verdict: exit 4, and no verdict.
-        f = tmp_path / "g23.json"
-        run_cli(capsys, "gen-extremal", "--partition", "2,3", "--out", str(f))
-        monkeypatch.setattr(cli, "brute_force_flow", lambda geom, **_: None)
-        code, out, err = run_cli(capsys, "find-flow", str(f), "--oracle")
-        assert (code, out) == (cli.EXIT_INTERNAL, "VERDICT: error reason=internal\n")
-        assert err == "error: internal: AssertionError: no-flow verdict (oracle) fails its certificate check\n"
 
     def test_duplicate_geometry_key_exits_2(self, capsys, tmp_path):
         f = tmp_path / "dup.json"
@@ -448,6 +436,15 @@ class TestSimulateAndOrder:
         lines = out.splitlines()
         assert "0.5+0j 0.5+0j" in lines
         assert "0.5+0j -0.5+0j" in lines
+
+    def test_defect_at_the_threshold_fails(self, capsys, tmp_path, monkeypatch, path_file):
+        flow_file = tmp_path / "f.json"
+        run_cli(capsys, "find-flow", path_file, "--out", str(flow_file))
+        monkeypatch.setattr(cli, "isometry_defect", lambda vmap: cli.DEFECT_THRESHOLD)
+        code, out, _ = run_cli(capsys, "simulate", path_file, str(flow_file), "--random-angles", "1")
+        assert code == 1
+        assert "max defect: 1.000e-09 (>= 1e-09)" in out.splitlines()
+        assert verdict_line(out) == "VERDICT: property-fails reason=isometry max_defect=1.000e-09"
 
     def test_qubit_cap_checked_before_further_draws(self, capsys, tmp_path, monkeypatch):
         # A 13-vertex geometry is over the default cap of 12 qubits.
@@ -730,18 +727,6 @@ TRANSCRIPTS = {
                "VERDICT: no-flow reason=cyclic-D"),
         "", {},
     ),
-    "find-flow-oracle-found": (
-        ["find-flow", "path.json", "--oracle", "--out", "new-flow.json"], 0,
-        _lines("geometry: n=3 m=2 inputs=1 outputs=1", "oracle: flow found", "f(v1) = v2", "f(v2) = v3",
-               "depth: 2", "wrote flow to new-flow.json", "VERDICT: flow-found reason=oracle"),
-        "", {"new-flow.json": PATH_FLOW_TEXT},
-    ),
-    "find-flow-oracle-no-flow": (
-        ["find-flow", "six.json", "--oracle"], 1,
-        _lines("geometry: n=6 m=6 inputs=3 outputs=3", "oracle: no causal flow exists",
-               "VERDICT: no-flow reason=oracle"),
-        "", {},
-    ),
     "verify-flow-holds": (
         ["verify-flow", "path.json", "flow.json"], 0,
         _lines("flow verifies: all three conditions hold", "VERDICT: property-holds reason=certificate"),
@@ -815,10 +800,6 @@ TRANSCRIPTS = {
     "find-flow-porcelain": (
         ["find-flow", "path.json", "--porcelain", "--out", "new-flow.json"], 0,
         _lines("VERDICT: flow-found"), "", {"new-flow.json": PATH_FLOW_TEXT},
-    ),
-    "find-flow-oracle-porcelain": (
-        ["find-flow", "six.json", "--oracle", "--porcelain"], 1,
-        _lines("VERDICT: no-flow reason=oracle"), "", {},
     ),
     "verify-flow-porcelain": (
         ["verify-flow", "path.json", "flat-flow.json", "--porcelain"], 1,

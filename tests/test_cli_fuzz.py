@@ -83,7 +83,7 @@ def flow_texts(draw, geometry_text: str) -> str:
 @st.composite
 def cli_cases(draw):
     """A command line and the geometry and flow texts it reads."""
-    command = draw(st.sampled_from(["check-bound", "find-flow", "find-flow --oracle", "verify-flow", "order"]))
+    command = draw(st.sampled_from(["check-bound", "find-flow", "find-flow --out o.json", "verify-flow", "order"]))
     reads_flow = command in ("verify-flow", "order")
     # Commands that read a flow mostly get a sound geometry, so that the flow file is what is tested.
     fault = draw(st.sampled_from(["none", "file", "value"] + ["none"] * 4 * reads_flow))

@@ -191,6 +191,14 @@ class TestVerifyFlow:
         # a2 must precede a0 because a0 is adjacent to f(a2) = b2
         assert check.witness == (2, 0)
 
+    def test_rank_tie_with_a_neighbour_of_the_image_rejected(self):
+        # On the (2,2) extremal geometry, f(v1_1) = v1_2 is adjacent to
+        # v2_1, whose rank ties v1_1's: x must come strictly first.
+        geom, cover = generate_extremal(ExtremalPartition((2, 2)))
+        flow = flow_from_cover(geom, cover).flow
+        check = verify_flow(geom, CausalFlow(flow.successor, (0, 2, 0, 2)))
+        assert (check.condition, check.witness) == ("neighborhood-order", (0, 2))
+
     def test_successor_order_violation(self):
         geom = path_geometry(2)
         flow = CausalFlow(successor_function(2, [(0, 1)]), (1, 0))
@@ -727,6 +735,15 @@ class TestFlowSerialization:
         assert flow == res.flow
         assert cover == orbit_cover(geom, res.flow)
         assert dump_flow(geom, flow, cover) == text
+
+    def test_orbit_split_just_before_vertex_0_refused(self):
+        # On the path 1 - 0 - 2, f(1) = 0: a path that stops at 1 splits an orbit.
+        geom = Geometry(Graph.from_edges(3, [(0, 1), (0, 2)]), frozenset({1}), frozenset({2}))
+        data = json.loads(dump_flow(geom, find_causal_flow(geom).flow))
+        assert data["paths"] == [["1", "0", "2"]]
+        data["paths"] = [["1"], ["0", "2"]]
+        with pytest.raises(FlowFormatError, match=r"^paths\[0\]: ends at '1', where f is defined$"):
+            load_flow(geom, json.dumps(data))
 
     def test_float_id_of_cover_rejected(self):
         # A bool is not a vertex id either, though True == 1.

@@ -165,6 +165,11 @@ class TestGeometryModel:
             geom.label_of(True)
         assert geom.label_of(1) == "1"
 
+    def test_label_of_one_past_the_last_vertex_is_unknown(self):
+        geom = Geometry(Graph.from_edges(2, [(0, 1)]), frozenset(), frozenset())
+        with pytest.raises(GeometryError, match="^unknown vertex 2$"):
+            geom.label_of(2)
+
     def test_labels_indexed_on_construction(self):
         geom = Geometry(Graph.from_edges(2, [(0, 1)]), frozenset(), frozenset(), ["x", "y"])
         assert geom.labels == ("x", "y")
