@@ -4,7 +4,7 @@ Vertices are dense integers 0..n-1 everywhere inside the package.  String
 labels exist only at the ingestion and serialization boundary; they are
 carried on the geometry so output stays readable.  Every id a caller
 hands in obeys the one rule of ``_first_bad``; only ``Graph._from_ends``
-trusts its ids, which its callers resolved themselves.
+and ``_simple_graph`` trust their ids, which their callers resolved.
 
 Each rule is checked once, where the data enters: ``load_geometry``
 checks a file and builds its geometry without running the constructor's
@@ -13,13 +13,11 @@ label index behind ``id_of`` is built on first use; a loaded geometry
 keeps the index that resolved its file.
 
 Reading and writing a geometry file makes no object per edge beyond what
-the JSON parser builds.  ``load_geometry`` resolves the parsed label
-pairs into one flat list of edge ends ``u0, v0, u1, v1, ...`` and frees
-the pairs before ``Graph._from_ends`` builds the adjacency from it;
-``serialize_geometry`` makes the text with one join over pieces shared
-per label.  Loading a file thus holds at most about 5.3 times its length
-at once, most of it the parser's lists and strings, and writing one about
-3 times.
+the JSON parser builds.  ``load_geometry`` pops each parsed label pair
+and links it straight into the neighbour lists, so the parser's lists and
+strings are freed while the graph grows; ``serialize_geometry`` makes the
+text with one join over pieces shared per label.  Loading a file holds at
+most about 5.3 times its length at once, and writing one about 3 times.
 
 The bulk builders (``Graph.from_edges``, ``load_geometry``, and in other
 modules ``load_flow``, ``generate_extremal`` and ``flow_from_cover``) run
@@ -35,7 +33,6 @@ from __future__ import annotations
 import gc
 import json
 from functools import cached_property, wraps
-from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Collection, Iterable, Iterator
 
@@ -184,20 +181,17 @@ class Graph(_Record):
 
         The ends must be ids in ``range(n)``: they are trusted, because
         every caller resolved them itself.  No per-edge object is made.
-        The graph is simple exactly when no neighbour list holds an entry
-        twice; the ends are scanned for the first offending edge only when
-        that test fails.
+        The ends are scanned for the first offending edge only if the graph is not simple.
         """
         adj: list[list[int]] = [[] for _ in range(n)]
         pairs = iter(ends)
         for u, v in zip(pairs, pairs):
             adj[u].append(v)
             adj[v].append(u)
-        for nbrs in adj:
-            nbrs.sort()
-        if sum(map(len, map(set, adj))) != len(ends):
+        graph = _simple_graph(adj, len(ends) // 2)
+        if graph is None:
             _raise_first_bad_edge(n, ends)
-        return _unchecked(cls, vertex_count=n, adjacency=tuple(map(tuple, adj)), edge_count=len(ends) // 2)
+        return graph
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges as (u, v) with u < v, in ascending order."""
@@ -205,6 +199,15 @@ class Graph(_Record):
             for v in nbrs:
                 if u < v:
                     yield (u, v)
+
+
+def _simple_graph(adj: list[list[int]], m: int) -> Graph | None:
+    """The graph on the ``m`` edges in ``adj`` (sorted in place), or None if some list holds an id twice."""
+    for nbrs in adj:
+        nbrs.sort()
+    if sum(map(len, map(set, adj))) != 2 * m:
+        return None
+    return _unchecked(Graph, vertex_count=len(adj), adjacency=tuple(map(tuple, adj)), edge_count=m)
 
 
 def _first_bad(values: Collection[object], bound: int | None = None) -> int | None:
@@ -396,10 +399,10 @@ def load_geometry(text: str) -> Geometry:
     Labels are mapped to dense integer ids in file order and retained on
     the returned geometry, with the index that resolved them.  Structural
     problems are reported with the offending key and position.  Each list
-    is resolved in one pass; its items are inspected one by one only to
-    name the first bad one.  Self-loops and duplicate edges are left to
-    ``Graph._from_ends``.  Every rule is checked here, so the geometry is
-    built without the constructor's checks.
+    is resolved in one pass, the edges popped from the parsed list straight
+    into the neighbour lists with no list of edge ends.  Items are inspected
+    one by one only to name the first bad one, the edges in a fresh parse.
+    Every rule is checked here, so the constructor's checks do not run.
     """
     data = load_json_object(text, FILE_KEYS, GeometryError, "geometry")
     for key in FILE_KEYS:
@@ -407,37 +410,44 @@ def load_geometry(text: str) -> Geometry:
             raise GeometryError(f"'{key}' must be a list")
 
     labels = tuple(data["vertices"])
-    _check_labels(labels)
-    index = dict(zip(labels, range(len(labels))))
+    n = len(labels)
+    index = dict(zip(labels, range(n))) if set(map(type, labels)) <= {str} else {}
+    if len(index) != n or "" in index:  # the index of string labels shows them distinct and non-empty
+        _check_labels(labels)
 
     def check(key: str, pos: int, item: object) -> int:
         if not isinstance(item, str) or item not in index:
             raise GeometryError(f"{key}[{pos}]: unknown vertex label {item!r}")
         return index[item]
 
-    pairs = data["edges"]
-    ends = None
+    pairs = data.pop("edges")  # the bulk of the file: each pair is popped, and so freed, as it is linked
+    m = len(pairs)
+    adj: list[list[int]] = [[] for _ in range(n)]
+    graph = None
     try:
-        if set(map(list.__len__, pairs)) <= {2}:  # list.__len__ rejects anything but a list
-            ends = list(map(index.__getitem__, chain.from_iterable(pairs)))
-    except (KeyError, TypeError):
-        pass
-    if ends is None:  # some pair is malformed or names an unknown label
-        for pos, pair in enumerate(pairs):
+        if set(map(type, pairs)) <= {list}:  # a string such as "ab" would unpack into two labels
+            while pairs:
+                a, b = pairs.pop()
+                u, v = index[a], index[b]
+                adj[u].append(v)
+                adj[v].append(u)
+            graph = _simple_graph(adj, m)
+    except (ValueError, KeyError, TypeError):
+        pass  # a pair of another length, or an unknown or unhashable label
+    del pairs, adj
+    if graph is None:  # every pair's shape and labels are checked before a self-loop or duplicate is named
+        ends: list[int] = []
+        for pos, pair in enumerate(load_json_object(text, FILE_KEYS, GeometryError, "geometry")["edges"]):
             if not (isinstance(pair, list) and len(pair) == 2):
                 raise GeometryError(f"edges[{pos}]: expected a 2-element list of labels")
-            check("edges", pos, pair[0])
-            check("edges", pos, pair[1])
-    # The parsed pairs are the largest part of the file; free them first.
-    del pairs, data["edges"]
-    try:
-        graph = Graph._from_ends(len(labels), ends)
-    except EdgeError as exc:
-        pos = exc.position
-        a, b = labels[ends[2 * pos]], labels[ends[2 * pos + 1]]
-        if exc.fault == "self-loop":
-            raise GeometryError(f"edges[{pos}]: self-loop at {a!r}") from None
-        raise GeometryError(f"edges[{pos}]: duplicate edge {a!r} -- {b!r}") from None
+            ends += [check("edges", pos, item) for item in pair]
+        try:
+            _raise_first_bad_edge(n, ends)
+        except EdgeError as exc:
+            pos = exc.position
+            a, b = labels[ends[2 * pos]], labels[ends[2 * pos + 1]]
+            fault = f"self-loop at {a!r}" if exc.fault == "self-loop" else f"duplicate edge {a!r} -- {b!r}"
+            raise GeometryError(f"edges[{pos}]: {fault}") from None
 
     ids_of: dict[str, frozenset[int]] = {}
     for key in ("inputs", "outputs"):

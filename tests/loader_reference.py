@@ -4,9 +4,11 @@
 handed the parts to the public ``Geometry(...)``, which checked every
 rule again and built a second index.  These are those routines, kept
 verbatim as the reference that the differential loader test compares
-the package's ``load_geometry`` with.  They share ``Graph._from_ends``,
-the one edge check, and the strict JSON decoder with the package.  Not
-public API.
+the package's ``load_geometry`` with.  They build the graph from a flat
+list of edge ends through ``Graph._from_ends``, whose sort, simplicity
+test and freeze are the tail that ``load_geometry`` runs too; they also
+share the one edge check and the strict JSON decoder with the package.
+Not public API.
 """
 
 from __future__ import annotations
