@@ -15,9 +15,12 @@ keeps the index that resolved its file.
 Reading and writing a geometry file makes no object per edge beyond what
 the JSON parser builds.  ``load_geometry`` pops each parsed label pair
 and links it straight into the neighbour lists, so the parser's lists and
-strings are freed while the graph grows; ``serialize_geometry`` makes the
-text with one join over pieces shared per label.  Loading a file holds at
-most about 5.3 times its length at once, and writing one about 3 times.
+strings are freed while the graph grows, and it decodes a large file's
+edge list a piece at a time, so they are never all alive at once;
+``serialize_geometry`` makes the text with one join over pieces shared per
+label.  Loading a file in ``serialize_geometry``'s layout holds at most
+about 2 times its length at once (any other layout about 5.3 times what
+the same geometry takes in that layout), and writing one about 3 times.
 
 The bulk builders (``Graph.from_edges``, ``load_geometry``, and in other
 modules ``load_flow``, ``generate_extremal`` and ``flow_from_cover``) run
@@ -351,6 +354,9 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 # Built once: ``json.loads`` with a hook would build a decoder per call.
 _STRICT_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
 
+# Characters of a large geometry file's edge list decoded at once (see ``load_geometry``).
+_PIECE = 1 << 14
+
 
 def load_json_object(text: str, keys: tuple[str, ...], error: type[ValueError], kind: str) -> dict:
     """Parse a ``kind`` file: one JSON object holding exactly ``keys``.
@@ -398,11 +404,94 @@ def load_geometry(text: str) -> Geometry:
 
     Labels are mapped to dense integer ids in file order and retained on
     the returned geometry, with the index that resolved them.  Structural
-    problems are reported with the offending key and position.  Each list
-    is resolved in one pass, the edges popped from the parsed list straight
-    into the neighbour lists with no list of edge ends.  Items are inspected
-    one by one only to name the first bad one, the edges in a fresh parse.
-    Every rule is checked here, so the constructor's checks do not run.
+    problems are reported with the offending key and position.  Every rule
+    is checked here, so the constructor's checks do not run.
+
+    A large file in ``serialize_geometry``'s layout is decoded in pieces,
+    so that the decoder's list and two strings per edge are never alive
+    for the whole edge list at once.  Its edge list is the text between
+    ``\n  "edges": [`` and the last ``\n  ],\n  "inputs": ``, and must
+    span at least two pieces of ``_PIECE`` characters.  The file with that
+    text cut out is decoded first, with every check of a whole file, and
+    must give an empty ``edges``.  The edge list is then decoded a piece at
+    a time: a piece ends at a pair's ``\n    ]`` that is followed by
+    ``,\n`` and lies at least ``_PIECE`` characters on, and is decoded as
+    ``"[" + piece + "]"``.  Each piece's pairs are linked before the next
+    piece is decoded.  Any fault on the way, a piece that does not decode
+    to a non-empty list included, drops the pieces and decodes the whole
+    text, which then loads or names its first fault as any other file.
+    A file loaded in pieces gives the same geometry decoded whole:
+
+    - The decoder refuses raw control characters inside strings, so every
+      raw newline of an accepted file lies between two tokens, and so does
+      every cut, which sits between a ``\n    ]`` and its ``,\n``.
+    - A cut that does not fall between two elements of the edge list
+      leaves a bracket of some piece unbalanced, and that piece does not
+      decode.
+    - JSON values nest context-free: the pieces' elements, put in order
+      into the emptied file's ``[]``, are exactly what decoding the whole
+      text gives at that place.
+    - A ``"edges": [`` nested anywhere but at the top level sits inside a
+      value the format forbids, since labels are strings: that file fails
+      a check and is decoded whole.
+    """
+    if len(text) >= 2 * _PIECE:  # a shorter file cannot hold two pieces, and is not searched
+        opener = '\n  "edges": ['
+        start = text.find(opener) + len(opener)
+        end = text.rfind('\n  ],\n  "inputs": ', start) if start >= len(opener) else -1
+        if end - start >= 2 * _PIECE:
+            try:
+                return _load(text[:start] + text[end:], _edge_pieces(text, start, end))
+            except GeometryError:
+                pass  # the whole text is decoded below, once this frame and its pieces are freed
+    return _load(text)
+
+
+def _edge_pieces(text: str, start: int, end: int) -> Iterator[list]:
+    """The decoded pieces of the edge list ``text[start:end]`` (see ``load_geometry``).
+
+    A piece that does not decode to a non-empty list raises GeometryError.
+    """
+    while start < end:
+        cut = text.find("\n    ],\n", start + _PIECE, end)
+        stop = end if cut < 0 else cut + 6  # just past the pair's "]"
+        try:
+            pairs = _STRICT_DECODER.decode("[" + text[start:stop] + "]")
+        except (ValueError, RecursionError, _DuplicateKey):
+            pairs = None
+        if not pairs:
+            raise GeometryError("edge list piece does not decode")
+        yield pairs
+        start = stop + 1
+
+
+def _link(pairs: list, index: dict[str, int], adj: list[list[int]]) -> bool:
+    """Pop each label pair off ``pairs`` and link it into ``adj``.
+
+    False at the first item that is not a pair of labels in ``index``.
+    """
+    if not set(map(type, pairs)) <= {list}:  # a string such as "ab" would unpack into two labels
+        return False
+    try:
+        while pairs:
+            a, b = pairs.pop()
+            u, v = index[a], index[b]
+            adj[u].append(v)
+            adj[v].append(u)
+    except (ValueError, KeyError, TypeError):
+        return False  # a pair of another length, or an unknown or unhashable label
+    return True
+
+
+def _load(text: str, pieces: Iterator[list] | None = None) -> Geometry:
+    """The geometry in the file ``text``, or GeometryError naming its first fault.
+
+    Each list is resolved in one pass, the edges popped from the parsed
+    list straight into the neighbour lists with no list of edge ends.
+    Items are inspected one by one only to name the first bad one, the
+    edges in a fresh parse.  With ``pieces``, ``text`` is the file with
+    its edge list cut out and ``pieces`` yields that list's pairs; then a
+    fault of the edges raises GeometryError without naming it.
     """
     data = load_json_object(text, FILE_KEYS, GeometryError, "geometry")
     for key in FILE_KEYS:
@@ -420,21 +509,24 @@ def load_geometry(text: str) -> Geometry:
             raise GeometryError(f"{key}[{pos}]: unknown vertex label {item!r}")
         return index[item]
 
-    pairs = data.pop("edges")  # the bulk of the file: each pair is popped, and so freed, as it is linked
-    m = len(pairs)
+    # The bulk of a whole file: each pair is popped, and so freed, as it is linked.
+    whole = pieces is None
+    if whole:
+        pieces = [data.pop("edges")]
+    elif data.pop("edges"):
+        raise GeometryError("edge list not cut out")
     adj: list[list[int]] = [[] for _ in range(n)]
+    m = 0
     graph = None
-    try:
-        if set(map(type, pairs)) <= {list}:  # a string such as "ab" would unpack into two labels
-            while pairs:
-                a, b = pairs.pop()
-                u, v = index[a], index[b]
-                adj[u].append(v)
-                adj[v].append(u)
-            graph = _simple_graph(adj, m)
-    except (ValueError, KeyError, TypeError):
-        pass  # a pair of another length, or an unknown or unhashable label
-    del pairs, adj
+    for pairs in pieces:
+        m += len(pairs)
+        if not _link(pairs, index, adj):
+            break
+    else:
+        graph = _simple_graph(adj, m)
+    del pieces, pairs, adj
+    if graph is None and not whole:
+        raise GeometryError("edge list not linked")
     if graph is None:  # every pair's shape and labels are checked before a self-loop or duplicate is named
         ends: list[int] = []
         for pos, pair in enumerate(load_json_object(text, FILE_KEYS, GeometryError, "geometry")["edges"]):

@@ -21,6 +21,7 @@ from flowscope import (
     load_geometry,
     serialize_geometry,
 )
+from flowscope import geometry
 
 from .conftest import geometries
 from .loader_reference import reference_load_geometry
@@ -122,6 +123,99 @@ def outcome(load, text: str):
 @settings(max_examples=200, deadline=None)
 def test_loader_matches_reference(text):
     assert outcome(load_geometry, text) == outcome(reference_load_geometry, text)
+
+
+@pytest.mark.parametrize("piece", [1, 40, 200])
+@given(text=geometry_texts())
+@settings(max_examples=300, deadline=None)
+def test_loader_in_pieces_matches_reference(piece, text):
+    # Half the files are laid out with indent=2, as serialize_geometry writes them, so a short
+    # piece length sends each of those with a non-empty edge list down the piece path.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geometry, "_PIECE", piece)
+        assert outcome(load_geometry, text) == outcome(reference_load_geometry, text)
+
+
+def laid_out(data: dict) -> str:
+    """``data`` as a geometry file in ``serialize_geometry``'s layout, its keys in their order in ``data``."""
+    return json.dumps(data, indent=2) + "\n"
+
+
+def ring(labels: list[str]) -> dict:
+    """A cycle through ``labels`` with two chords, one input and one output, as file data."""
+    n = len(labels)
+    edges = [[labels[i], labels[(i + 1) % n]] for i in range(n)]
+    edges += [[labels[0], labels[n // 2]], [labels[1], labels[3]]]
+    return {"vertices": labels, "edges": edges, "inputs": labels[:1], "outputs": labels[-1:]}
+
+
+LABELS_12 = [f"v{i}" for i in range(12)]
+M = len(ring(LABELS_12)["edges"])
+
+
+def with_edge(pos: int, make) -> str:
+    """The 12-vertex ring with edge ``pos`` replaced by ``make(edges, pos)``."""
+    data = ring(LABELS_12)
+    data["edges"][pos] = make(data["edges"], pos)
+    return laid_out(data)
+
+
+EDGE_FAULTS = {
+    "non-list-pair": lambda edges, pos: "v0v1",
+    "unknown-label": lambda edges, pos: [edges[pos][0], "zz"],
+    "self-loop": lambda edges, pos: [edges[pos][0]] * 2,
+    "duplicate": lambda edges, pos: edges[pos - 1 if pos else 1][::-1],
+}
+
+
+def nested_opener() -> str:
+    """A file whose top-level edge list, written compact, holds an object laid out like a large file's edge list."""
+    inner = json.dumps({"edges": ring(LABELS_12)["edges"], "inputs": []}, indent=2)
+    return '{"vertices": %s, "edges": [["v0", %s]], "inputs": [], "outputs": []}' % (json.dumps(LABELS_12), inner)
+
+
+PIECE_FILES = {
+    "labels-like-the-layout": laid_out(ring(["a],", '"edges": [', "x\ny", "\n    ],\n", "b", "c", "d"])),
+    "label-named-edges": laid_out(ring(["edges", "vertices", "inputs", "a", "b", "c"])),
+    "edges-before-vertices": laid_out(
+        {key: ring(LABELS_12)[key] for key in ("edges", "vertices", "inputs", "outputs")}
+    ),
+    "reversed-keys": laid_out(dict(reversed(list(ring(LABELS_12).items())))),
+    "edges-then-inputs-before-vertices": laid_out(
+        {key: ring(LABELS_12)[key] for key in ("edges", "inputs", "vertices", "outputs")}
+    ),
+    "repeated-inputs-after-edges": laid_out(ring(LABELS_12))[:-3] + ',\n  "inputs": []\n}\n',
+    "repeated-edges-after-edges": laid_out(ring(LABELS_12))[:-3] + ',\n  "edges": []\n}\n',
+    "trailing-data": laid_out(ring(LABELS_12)) + "x",
+    "bom": "\ufeff" + laid_out(ring(LABELS_12)),
+    "crlf": laid_out(ring(LABELS_12)).replace("\n", "\r\n"),
+    "compact": json.dumps(ring(LABELS_12)),
+    "empty-edge-list": laid_out(dict(ring(LABELS_12), edges=[])),
+    "one-edge": laid_out(dict(ring(LABELS_12), edges=[["v0", "v1"]])),
+    "trailing-comma-in-edge-list": laid_out(ring(LABELS_12)).replace("\n    ]\n  ],", "\n    ],\n  ],"),
+    "object-in-edge-list": laid_out(ring(LABELS_12)).replace(
+        "\n    ]\n  ],", '\n    ],\n    {"a": [\n    ],\n    "a": 1}\n  ],'
+    ),
+    "nested-edge-list": nested_opener(),
+    "not-an-object": laid_out(ring(LABELS_12)).replace("{", "[{", 1)[:-1] + "]\n",
+    "unknown-input": laid_out(dict(ring(LABELS_12), inputs=["zz"])),
+    "bad-label": laid_out(dict(ring(LABELS_12), vertices=LABELS_12[:-1] + [7])),
+    **{
+        f"{fault}-{where}": with_edge(pos, make)
+        for fault, make in EDGE_FAULTS.items()
+        for where, pos in (("first", 0), ("middle", M // 2), ("last", M - 1))
+    },
+}
+
+
+@pytest.mark.parametrize("piece", [1, 40])
+@pytest.mark.parametrize("name", sorted(PIECE_FILES))
+def test_file_loads_the_same_in_pieces_and_whole(monkeypatch, name, piece):
+    text = PIECE_FILES[name]
+    monkeypatch.setattr(geometry, "_PIECE", len(text))
+    whole = outcome(load_geometry, text)
+    monkeypatch.setattr(geometry, "_PIECE", piece)
+    assert outcome(load_geometry, text) == whole == outcome(reference_load_geometry, text)
 
 
 @pytest.fixture
