@@ -10,9 +10,13 @@ optimal flows efficiently", arXiv:0709.2670) in O(n + m): starting from
 the outputs, a processed vertex with exactly one unprocessed neighbour
 becomes that neighbour's partner.  The greedy is complete, so every
 geometry is decided, and the flow it builds has minimum depth.  When it
-stalls, the vertices it never processed form a no-flow certificate, and
-completing the greedy's partial matching names the reason.  Every
-verdict's certificate is checked in one place, ``_certificate_holds``.
+stalls, the vertices it never processed, the obstruction S, form a
+no-flow certificate, and completing the greedy's partial matching names
+the reason.  No greedy partner has a neighbour in S, so the completion
+and the search for a cycle of a ``cyclic-D`` verdict work on S, its
+neighbours and what S reaches, and no loop runs over the whole graph: a
+no-flow verdict costs about one greedy pass.  Every verdict's certificate is
+checked in one place, ``_certificate_holds``.
 """
 
 from __future__ import annotations
@@ -277,21 +281,25 @@ def _influence_order(
         depth += 1
     if min(layer, default=0) >= 0:
         return tuple(layer), None
-    return None, _extract_cycle(adj, image, layer)
+    return None, _extract_cycle(adj, image, layer, range(n))
 
 
-def _extract_cycle(adj: tuple[tuple[int, ...], ...], image: Sequence[int], layer: list[int]) -> tuple[int, ...]:
+def _extract_cycle(
+    adj: tuple[tuple[int, ...], ...], image: Sequence[int], layer: list[int], domain: Iterable[int]
+) -> tuple[int, ...]:
     """The cycle met walking back from the smallest unranked vertex, rotated to its smallest.
 
-    ``image`` is an injective f, and ``layer`` is -1 on the vertices that
-    ``_influence_order`` left unranked.  The predecessors of v are the u
-    with f(u) = v or with f(u) adjacent to v (u != v), so each is read
-    from f's inverse at v and at v's neighbours.  Each step goes to the
-    smallest unranked predecessor.  Every unranked vertex keeps one, so
-    the walk revisits a vertex within n steps.
+    ``image`` is an injective f, and ``layer`` is -1 on the vertices left
+    unranked, each of which lies in ``domain``.  The predecessors of v are
+    the u with f(u) = v or with f(u) adjacent to v (u != v), so each is
+    read from f's inverse at v and at v's neighbours; the inverse is built
+    on ``domain`` only, which holds every unranked predecessor.  Each step
+    goes to the smallest unranked predecessor.  Every unranked vertex
+    keeps one, so the walk revisits a vertex within n steps.
     """
-    source = [-1] * len(image)  # the inverse of f
-    for u, fu in enumerate(image):
+    source = [-1] * len(image)  # the inverse of f on ``domain``
+    for u in domain:
+        fu = image[u]
         if fu >= 0:
             source[fu] = u
     cur = layer.index(-1)
@@ -391,11 +399,14 @@ def find_causal_flow(geom: Geometry) -> FlowSearchResult:
     Pipeline: reject immediately when the edge count exceeds the gamma
     bound for k = |outputs|; then run the backward greedy, whose layer
     l(v) gives the rank depth - l(v).  When the greedy stalls, no flow
-    exists and the unprocessed vertices are the obstruction.  Completing
+    exists and the unprocessed vertices are the obstruction S.  Completing
     the greedy's partial matching then names the reason: "no-cover" when
     measured vertices cannot all be matched to distinct partners,
     otherwise "cyclic-D" with a cycle of the completed matching's
-    influencing digraph.
+    influencing digraph.  The completion changes f only on S (see
+    ``_complete_matching``), and the cycle is sought from S alone (see
+    ``_obstruction_cycle``), so naming the reason costs no pass over the
+    whole graph.
     """
     if _exceeds_gamma(geom):
         return FlowSearchResult("no-flow", reason="edge-bound")
@@ -410,38 +421,59 @@ def find_causal_flow(geom: Geometry) -> FlowSearchResult:
     # With k = 0, k paths must cover n > 0 vertices; impossible with zero paths.
     if geom.output_count == 0 or not _complete_matching(geom, image, unprocessed):
         return FlowSearchResult("no-flow", reason="no-cover", obstruction=obstruction)
-    _ranks, cycle = _influence_order(geom, image)
-    if cycle is None:
-        raise AssertionError("backward greedy stalled on a geometry that has a flow")
+    cycle = _obstruction_cycle(geom, image, unprocessed)
     return FlowSearchResult("no-flow", reason="cyclic-D", cycle=cycle, obstruction=obstruction)
 
 
-def _complete_matching(geom: Geometry, image: list[int], exposed: list[int]) -> bool:
-    """Extend ``image`` in place to give every vertex of ``exposed`` a partner; False if impossible.
+def _complete_matching(geom: Geometry, image: list[int], obstruction: list[int]) -> bool:
+    """Extend the greedy's ``image`` in place to give every vertex of ``obstruction`` a partner; False if impossible.
 
-    ``image`` matches measured vertices to distinct non-input neighbours,
-    and ``exposed`` lists the measured vertices it leaves out.  Each phase
-    layers the measured vertices by their alternating distance to a free
-    partner, searching backwards from every free non-input vertex.  An
-    exposed vertex left unlayered has no augmenting path, so no matching
-    saturates it and the answer is False.  Otherwise each exposed vertex,
-    ascending, augments along strictly falling layers through vertices
-    not yet used in the phase, and those that fail wait for the next
-    phase.  A root on layer 0 takes its first free partner.  On the
-    greedy's image only ``exposed`` changes, and every cycle of the result
-    lies in it, since no greedy partner has an unprocessed neighbour.
+    ``obstruction`` is S, the measured vertices the greedy never
+    processed, ascending.  No greedy partner has a neighbour in S, since
+    each claimed its last unprocessed neighbour.  So every alternating
+    path from S stays in S, and it ends at a non-input neighbour of S
+    that no vertex of S has taken yet: the completion reads and changes
+    f only on S and its neighbours, and no loop runs over the whole graph.
+
+    The first phase is a plain pass.  Every non-input neighbour of S is
+    still free, so every vertex of S with one lies on layer 0 of the
+    layering below, and a root on layer 0 takes its first free partner.
+    Each vertex of S, ascending, thus takes its first non-input neighbour
+    that no vertex of S has taken, and one whose neighbours are all
+    inputs has no partner in any matching, so the answer is False.
+
+    Each later phase layers S alone by its alternating distance to a free
+    partner, searching backwards from the neighbours of S still free.  A
+    root, a vertex of S still without a partner, that is left unlayered
+    has no augmenting path, so no matching saturates it and the answer is
+    False.  Otherwise each root, ascending, augments along strictly
+    falling layers through layered vertices not yet used in the phase,
+    and those that fail wait for the next phase.
     """
     n = geom.vertex_count
     adj = geom.graph.adjacency
     inputs = geom.inputs
-    owner = [-1] * n  # the measured vertex matched to each partner
-    for x, y in enumerate(image):
-        if y >= 0:
-            owner[y] = x
-    # Outputs never get a layer: the sentinel n marks them as not measured.
-    unlayered = [n if v in geom.outputs else -1 for v in range(n)]
-    free = [y for y in range(n) if owner[y] < 0 and y not in inputs]
+    owner = [-1] * n  # the vertex of S matched to each partner; no greedy partner is asked
+    exposed = []
+    for x in obstruction:
+        for y in adj[x]:
+            if owner[y] < 0 and y not in inputs:
+                owner[y] = x
+                image[x] = y
+                break
+        else:
+            if inputs.issuperset(adj[x]):
+                return False
+            exposed.append(x)
+    if not exposed:
+        return True
+    free = {y for x in obstruction for y in adj[x]} - inputs
+    # Vertices outside S never get a layer: the sentinel n marks them.
+    unlayered = [n] * n
+    for x in obstruction:
+        unlayered[x] = -1
     while exposed:
+        free = [y for y in free if owner[y] < 0]
         layer = unlayered[:]
         partners, depth = free, 0
         while partners:
@@ -473,7 +505,7 @@ def _complete_matching(geom: Geometry, image: list[int], exposed: list[int]) -> 
                             used[u] = True
                         path = []
                         break
-                    if layer[o] == layer[x] - 1 and not used[o]:
+                    if 0 <= layer[o] == layer[x] - 1 and not used[o]:
                         path.append(o)
                         scans.append(iter(adj[o]))
                         break
@@ -482,8 +514,61 @@ def _complete_matching(geom: Geometry, image: list[int], exposed: list[int]) -> 
                     path.pop()
                     scans.pop()
         exposed = [x for x in exposed if image[x] < 0]
-        free = [y for y in free if owner[y] < 0]
     return True
+
+
+def _obstruction_cycle(geom: Geometry, image: list[int], obstruction: list[int]) -> tuple[int, ...]:
+    """The cycle that ``_influence_order`` would name for the completed f, found from S alone.
+
+    A greedy partner's other neighbours were all processed before the
+    vertex it claimed, so every arc from a vertex outside S, the
+    ``obstruction``, goes to one the greedy processed earlier, and every
+    cycle lies in S.  ``_influence_order`` leaves unranked exactly the
+    vertices that a cycle reaches, so they, and the paths that reach
+    them, lie in the forward closure R of S.  Ranking R alone, counting
+    the arcs from R, all of which end in R, therefore leaves the same
+    vertices unranked, and ``_extract_cycle`` walks back from the same
+    smallest one through the same predecessors, all of them in R: the
+    cycle is unchanged.  The work is O(|R| + arcs from R).
+    """
+    n = len(image)
+    adj = geom.graph.adjacency
+    layer = [0] * n  # -1 on R until ranked, 0 elsewhere
+    indeg = [0] * n
+    closure = list(obstruction)
+    for x in closure:
+        layer[x] = -1
+    for x in closure:  # the list grows as R is found
+        fx = image[x]
+        if fx < 0:
+            continue
+        indeg[x] -= 1  # x is a neighbour of f(x), but no arc goes from x to itself
+        indeg[fx] += 1
+        if not layer[fx]:
+            layer[fx] = -1
+            closure.append(fx)
+        for y in adj[fx]:
+            indeg[y] += 1
+            if not layer[y]:
+                layer[y] = -1
+                closure.append(y)
+    ready = [v for v in closure if not indeg[v]]
+    while ready:
+        u = ready.pop()
+        layer[u] = 0
+        fu = image[u]
+        if fu < 0:
+            continue
+        indeg[fu] -= 1
+        if not indeg[fu]:
+            ready.append(fu)
+        for w in adj[fu]:
+            indeg[w] -= 1
+            if not indeg[w]:
+                ready.append(w)
+    if -1 not in layer:
+        raise AssertionError("backward greedy stalled on a geometry that has a flow")
+    return _extract_cycle(adj, image, layer, closure)
 
 
 def verify_obstruction(geom: Geometry, obstruction: Iterable[int]) -> bool:

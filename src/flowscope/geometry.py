@@ -8,9 +8,12 @@ and ``_simple_graph`` trust their ids, which their callers resolved.
 
 Each rule is checked once, where the data enters: ``load_geometry``
 checks a file and builds its geometry without running the constructor's
-checks again, and ``Geometry(...)`` checks what a caller hands it.  The
-label index behind ``id_of`` is built on first use; a loaded geometry
-keeps the index that resolved its file.
+checks again, and ``Geometry(...)`` checks what a caller hands it.  A
+file that loads passes only bulk tests, each over a whole collection at
+once; a file that one refuses is decoded again by ``_name_fault``, the
+one place that names a file's first fault.  The label index behind
+``id_of`` is built on first use; a loaded geometry keeps the index that
+resolved its file.
 
 Reading and writing a geometry file makes no object per edge beyond what
 the JSON parser builds.  ``load_geometry`` pops each parsed label pair
@@ -37,7 +40,7 @@ import gc
 import json
 from functools import cached_property, wraps
 from json.encoder import encode_basestring_ascii
-from typing import Collection, Iterable, Iterator
+from typing import Collection, Iterable, Iterator, NoReturn
 
 FILE_KEYS = ("vertices", "edges", "inputs", "outputs")
 
@@ -354,6 +357,8 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 # Built once: ``json.loads`` with a hook would build a decoder per call.
 _STRICT_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
 
+_KEY_SET = frozenset(FILE_KEYS)
+
 # Characters of a large geometry file's edge list decoded at once (see ``load_geometry``).
 _PIECE = 1 << 14
 
@@ -407,19 +412,24 @@ def load_geometry(text: str) -> Geometry:
     problems are reported with the offending key and position.  Every rule
     is checked here, so the constructor's checks do not run.
 
+    A file that loads passes only bulk tests, each made on a whole
+    collection at once (see ``_load``).  When one refuses the file,
+    ``_name_fault`` decodes it again and names its first fault, so the
+    messages do not depend on which test refused it.
+
     A large file in ``serialize_geometry``'s layout is decoded in pieces,
     so that the decoder's list and two strings per edge are never alive
     for the whole edge list at once.  Its edge list is the text between
     ``\n  "edges": [`` and the last ``\n  ],\n  "inputs": ``, and must
     span at least two pieces of ``_PIECE`` characters.  The file with that
-    text cut out is decoded first, with every check of a whole file, and
-    must give an empty ``edges``.  The edge list is then decoded a piece at
-    a time: a piece ends at a pair's ``\n    ]`` that is followed by
-    ``,\n`` and lies at least ``_PIECE`` characters on, and is decoded as
-    ``"[" + piece + "]"``.  Each piece's pairs are linked before the next
-    piece is decoded.  Any fault on the way, a piece that does not decode
-    to a non-empty list included, drops the pieces and decodes the whole
-    text, which then loads or names its first fault as any other file.
+    text cut out is decoded first, with every bulk test of a whole file,
+    and must give an empty ``edges``.  The edge list is then decoded a
+    piece at a time: a piece ends at a pair's ``\n    ]`` that is followed
+    by ``,\n`` and lies at least ``_PIECE`` characters on, and is decoded
+    as ``"[" + piece + "]"``.  Each piece's pairs are linked before the
+    next piece is decoded.  If the cut-out file fails a test, or a piece
+    does not decode to a non-empty list, the pieces are dropped and the
+    whole text is decoded, which then loads or is named as any other file.
     A file loaded in pieces gives the same geometry decoded whole:
 
     - The decoder refuses raw control characters inside strings, so every
@@ -429,11 +439,23 @@ def load_geometry(text: str) -> Geometry:
       leaves a bracket of some piece unbalanced, and that piece does not
       decode.
     - JSON values nest context-free: the pieces' elements, put in order
-      into the emptied file's ``[]``, are exactly what decoding the whole
+      into the cut-out file's ``[]``, are exactly what decoding the whole
       text gives at that place.
     - A ``"edges": [`` nested anywhere but at the top level sits inside a
       value the format forbids, since labels are strings: that file fails
-      a check and is decoded whole.
+      a test and is decoded whole.
+
+    A piece that decodes but whose pairs fail a test, or pieces that all
+    link into a graph that fails one, or inputs or outputs that fail one,
+    send the text straight to ``_name_fault``: the whole text is then
+    bound to fail too.  If it does not decode, it fails.  If it decodes
+    to a sound file, the cut-out file, which passed the key test, lost no
+    key to the cut, so the edge list is the value just before
+    ``"inputs"``, and the cut-out file holds the same labels, inputs and
+    outputs.  The decoded piece is balanced, so it never closes that edge
+    list, and its elements are consecutive pairs of it: they would fail
+    the same test there.  So a bad large file is decoded whole at most
+    twice: once when the piece path gives up and once to name its fault.
     """
     if len(text) >= 2 * _PIECE:  # a shorter file cannot hold two pieces, and is not searched
         opener = '\n  "edges": ['
@@ -441,10 +463,13 @@ def load_geometry(text: str) -> Geometry:
         end = text.rfind('\n  ],\n  "inputs": ', start) if start >= len(opener) else -1
         if end - start >= 2 * _PIECE:
             try:
-                return _load(text[:start] + text[end:], _edge_pieces(text, start, end))
+                geom = _load(text[:start] + text[end:], _edge_pieces(text, start, end))
             except GeometryError:
                 pass  # the whole text is decoded below, once this frame and its pieces are freed
-    return _load(text)
+            else:
+                return geom if geom is not None else _name_fault(text)
+    geom = _load(text)
+    return geom if geom is not None else _name_fault(text)
 
 
 def _edge_pieces(text: str, start: int, end: int) -> Iterator[list]:
@@ -455,14 +480,19 @@ def _edge_pieces(text: str, start: int, end: int) -> Iterator[list]:
     while start < end:
         cut = text.find("\n    ],\n", start + _PIECE, end)
         stop = end if cut < 0 else cut + 6  # just past the pair's "]"
-        try:
-            pairs = _STRICT_DECODER.decode("[" + text[start:stop] + "]")
-        except (ValueError, RecursionError, _DuplicateKey):
-            pairs = None
+        pairs = _decode("[" + text[start:stop] + "]")
         if not pairs:
             raise GeometryError("edge list piece does not decode")
         yield pairs
         start = stop + 1
+
+
+def _decode(text: str) -> object:
+    """``text`` decoded as strict JSON, or None if it does not decode."""
+    try:
+        return _STRICT_DECODER.decode(text)
+    except (ValueError, RecursionError, _DuplicateKey):
+        return None
 
 
 def _link(pairs: list, index: dict[str, int], adj: list[list[int]]) -> bool:
@@ -483,38 +513,38 @@ def _link(pairs: list, index: dict[str, int], adj: list[list[int]]) -> bool:
     return True
 
 
-def _load(text: str, pieces: Iterator[list] | None = None) -> Geometry:
-    """The geometry in the file ``text``, or GeometryError naming its first fault.
+def _load(text: str, pieces: Iterator[list] | None = None) -> Geometry | None:
+    """The geometry in the file ``text``, or None if a bulk test refuses it.
 
-    Each list is resolved in one pass, the edges popped from the parsed
-    list straight into the neighbour lists with no list of edge ends.
-    Items are inspected one by one only to name the first bad one, the
-    edges in a fresh parse.  With ``pieces``, ``text`` is the file with
-    its edge list cut out and ``pieces`` yields that list's pairs; then a
-    fault of the edges raises GeometryError without naming it.
+    The tests: the text decodes to an object with exactly the four keys,
+    every value a list; the labels are strings whose index has an entry
+    for each and no ``""``; every pair links (see ``_link``) into a
+    simple graph; and the inputs and the outputs map to as many distinct
+    ids as they have items.  The edges are popped from the parsed list
+    straight into the neighbour lists, so no list of edge ends is made.
+
+    With ``pieces``, ``text`` is the file with its edge list cut out and
+    ``pieces`` yields that list's pairs; a refused cut-out file, or a
+    piece that does not decode, then raises GeometryError instead.
     """
-    data = load_json_object(text, FILE_KEYS, GeometryError, "geometry")
-    for key in FILE_KEYS:
-        if not isinstance(data[key], list):
-            raise GeometryError(f"'{key}' must be a list")
-
-    labels = tuple(data["vertices"])
-    n = len(labels)
-    index = dict(zip(labels, range(n))) if set(map(type, labels)) <= {str} else {}
-    if len(index) != n or "" in index:  # the index of string labels shows them distinct and non-empty
-        _check_labels(labels)
-
-    def check(key: str, pos: int, item: object) -> int:
-        if not isinstance(item, str) or item not in index:
-            raise GeometryError(f"{key}[{pos}]: unknown vertex label {item!r}")
-        return index[item]
+    data = _decode(text)
+    sound = type(data) is dict and data.keys() == _KEY_SET and set(map(type, data.values())) == {list}
+    if sound:
+        labels = tuple(data["vertices"])
+        n = len(labels)
+        # The type test comes first: only strings are labels, and only they may key the index.
+        index = dict(zip(labels, range(n))) if set(map(type, labels)) <= {str} else {}
+        edges = data.pop("edges")
+        sound = len(index) == n and "" not in index and (pieces is None or not edges)
+    if not sound:
+        if pieces is not None:
+            raise GeometryError("the file with its edge list cut out is refused")
+        return None
 
     # The bulk of a whole file: each pair is popped, and so freed, as it is linked.
-    whole = pieces is None
-    if whole:
-        pieces = [data.pop("edges")]
-    elif data.pop("edges"):
-        raise GeometryError("edge list not cut out")
+    if pieces is None:
+        pieces = [edges]
+    del edges
     adj: list[list[int]] = [[] for _ in range(n)]
     m = 0
     graph = None
@@ -525,40 +555,67 @@ def _load(text: str, pieces: Iterator[list] | None = None) -> Geometry:
     else:
         graph = _simple_graph(adj, m)
     del pieces, pairs, adj
-    if graph is None and not whole:
-        raise GeometryError("edge list not linked")
-    if graph is None:  # every pair's shape and labels are checked before a self-loop or duplicate is named
-        ends: list[int] = []
-        for pos, pair in enumerate(load_json_object(text, FILE_KEYS, GeometryError, "geometry")["edges"]):
-            if not (isinstance(pair, list) and len(pair) == 2):
-                raise GeometryError(f"edges[{pos}]: expected a 2-element list of labels")
-            ends += [check("edges", pos, item) for item in pair]
-        try:
-            _raise_first_bad_edge(n, ends)
-        except EdgeError as exc:
-            pos = exc.position
-            a, b = labels[ends[2 * pos]], labels[ends[2 * pos + 1]]
-            fault = f"self-loop at {a!r}" if exc.fault == "self-loop" else f"duplicate edge {a!r} -- {b!r}"
-            raise GeometryError(f"edges[{pos}]: {fault}") from None
+    if graph is None:
+        return None
 
-    ids_of: dict[str, frozenset[int]] = {}
-    for key in ("inputs", "outputs"):
-        items = data[key]
-        try:
-            ids = frozenset(map(index.__getitem__, items))
-        except (KeyError, TypeError):
-            ids = frozenset()
-        if len(ids) != len(items):
-            seen: set[int] = set()
-            for pos, item in enumerate(items):
-                vid = check(key, pos, item)
-                if vid in seen:
-                    raise GeometryError(f"{key}[{pos}]: duplicate label {item!r}")
-                seen.add(vid)
-        ids_of[key] = ids
-
+    inputs, outputs = data["inputs"], data["outputs"]
+    try:
+        input_ids = frozenset(map(index.__getitem__, inputs))
+        output_ids = frozenset(map(index.__getitem__, outputs))
+    except (KeyError, TypeError):
+        return None
+    if len(input_ids) != len(inputs) or len(output_ids) != len(outputs):
+        return None
     # Every rule is checked; the index that resolved the file becomes the cached ``_label_index``.
-    return _unchecked(Geometry, graph=graph, labels=labels, _label_index=index, **ids_of)
+    return _unchecked(
+        Geometry, graph=graph, inputs=input_ids, outputs=output_ids, labels=labels, _label_index=index
+    )
+
+
+def _name_fault(text: str) -> NoReturn:
+    """Raise GeometryError naming the first fault of the geometry file ``text``.
+
+    ``text`` is a file that some bulk test of ``_load`` refused.  It is
+    decoded again, and its faults are sought one by one in this order:
+    the decoding and the keys (see ``load_json_object``), a value that is
+    not a list, the labels, each edge's shape and then its labels, a
+    self-loop or a duplicate edge, and then each input and output.  A
+    file with none of them is an internal error, never a load.
+    """
+    data = load_json_object(text, FILE_KEYS, GeometryError, "geometry")
+    for key in FILE_KEYS:
+        if not isinstance(data[key], list):
+            raise GeometryError(f"'{key}' must be a list")
+    labels = tuple(data["vertices"])
+    _check_labels(labels)
+    index = dict(zip(labels, range(len(labels))))
+
+    def check(key: str, pos: int, item: object) -> int:
+        if not isinstance(item, str) or item not in index:
+            raise GeometryError(f"{key}[{pos}]: unknown vertex label {item!r}")
+        return index[item]
+
+    # Every pair's shape and labels are checked before a self-loop or duplicate is named.
+    ends: list[int] = []
+    for pos, pair in enumerate(data.pop("edges")):
+        if not (isinstance(pair, list) and len(pair) == 2):
+            raise GeometryError(f"edges[{pos}]: expected a 2-element list of labels")
+        ends += [check("edges", pos, item) for item in pair]
+    try:
+        _raise_first_bad_edge(len(labels), ends)
+    except EdgeError as exc:
+        pos = exc.position
+        a, b = labels[ends[2 * pos]], labels[ends[2 * pos + 1]]
+        fault = f"self-loop at {a!r}" if exc.fault == "self-loop" else f"duplicate edge {a!r} -- {b!r}"
+        raise GeometryError(f"edges[{pos}]: {fault}") from None
+    for key in ("inputs", "outputs"):
+        seen: set[int] = set()
+        for pos, item in enumerate(data[key]):
+            vid = check(key, pos, item)
+            if vid in seen:
+                raise GeometryError(f"{key}[{pos}]: duplicate label {item!r}")
+            seen.add(vid)
+    raise AssertionError("a geometry file that a bulk test refused has no fault to name")
 
 
 def serialize_geometry(geom: Geometry) -> str:

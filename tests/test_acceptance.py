@@ -32,11 +32,12 @@ from flowscope import (
     verify_flow,
     verify_obstruction,
 )
-from flowscope.flow import _backward_greedy, _complete_matching
+from flowscope.flow import _backward_greedy
 
 from .conftest import SIX_CYCLE_TEXT, cover_pairs, first_path_cover, no_flow_reason_fault, orbit_cover
 from .digraph_reference import influence_order
 from .extremal_reference import lex_acyclicity_certificate, orbit_counting_holds
+from .witness_reference import reference_complete_matching
 
 ANGLE_DRAWS = 20
 # Interleaved timing rounds of criterion 7.
@@ -238,8 +239,9 @@ def test_no_flow_reasons_match_enumeration(small_geometry_sweep):
 
 def test_matching_completion_stays_inside_the_obstruction(small_geometry_sweep):
     # Each greedy partner claimed its last unprocessed neighbour, so
-    # completing the greedy's matching changes f only on the obstruction,
-    # and every cyclic-D cycle lies inside it.
+    # completing the greedy's matching over the whole graph changes f only
+    # on the obstruction, and every cyclic-D cycle lies inside it: the
+    # facts that let find_causal_flow work on the obstruction alone.
     completed = cyclic = 0
     strays = []
     for geom, _oracle, result in small_geometry_sweep:
@@ -247,7 +249,7 @@ def test_matching_completion_stays_inside_the_obstruction(small_geometry_sweep):
             continue
         image, _layer, unprocessed = _backward_greedy(geom)
         greedy = image[:]
-        completed += _complete_matching(geom, image, unprocessed)
+        completed += reference_complete_matching(geom, image, unprocessed)
         cyclic += result.reason == "cyclic-D"
         inside = set(result.obstruction)
         changed = {v for v, fv in enumerate(image) if fv != greedy[v]}

@@ -33,7 +33,7 @@ from flowscope import (
     verify_flow,
     verify_obstruction,
 )
-from flowscope.flow import _influence_order, _splice_orbits
+from flowscope.flow import _backward_greedy, _complete_matching, _influence_order, _splice_orbits
 
 from .conftest import (
     candidate_lists,
@@ -516,6 +516,18 @@ class TestFindCausalFlow:
         assert res.status == "found"
         assert verify_flow(geom, res.flow).ok
         assert orbit_cover(geom, res.flow).paths == (tuple(range(12)),)
+
+    def test_a_root_whose_neighbours_are_all_inputs_gives_no_cover_at_once(self):
+        # Vertex 0's only neighbour is the input 1, so no matching gives 0 a
+        # partner: the completion answers before 2 or 4, which share the
+        # output 3, takes a partner.
+        geom = Geometry(Graph.from_edges(5, [(0, 1), (2, 3), (3, 4)]), frozenset({1}), frozenset({1, 3}))
+        image, _layer, unprocessed = _backward_greedy(geom)
+        assert unprocessed == [0, 2, 4]
+        assert not _complete_matching(geom, image, unprocessed)
+        assert image == [-1] * 5
+        res = find_causal_flow(geom)
+        assert (res.reason, res.obstruction) == ("no-cover", (0, 2, 4))
 
     def test_budget_zero_still_decides_small_instances(self, six_cycle):
         # The decision spends no search budget: even the smallest hard

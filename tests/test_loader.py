@@ -218,6 +218,29 @@ def test_file_loads_the_same_in_pieces_and_whole(monkeypatch, name, piece):
     assert outcome(load_geometry, text) == whole == outcome(reference_load_geometry, text)
 
 
+@pytest.mark.parametrize("name", sorted(PIECE_FILES) + ["sound"])
+def test_file_in_the_layout_is_decoded_whole_at_most_twice(monkeypatch, name):
+    # Once if the piece path gives up and once to name the fault.  A piece
+    # that decodes but whose pairs fail a test goes straight to the namer,
+    # so a file whose pieces all decode is decoded whole only by the namer.
+    text = PIECE_FILES.get(name) or laid_out(ring(LABELS_12))
+    decoder = geometry._STRICT_DECODER
+    whole = []
+
+    class Counting:
+        def decode(self, s: str):
+            whole.append(s is text)
+            return decoder.decode(s)
+
+    monkeypatch.setattr(geometry, "_STRICT_DECODER", Counting())
+    monkeypatch.setattr(geometry, "_PIECE", 40)
+    outcome(load_geometry, text)
+    assert sum(whole) <= 2
+    if name == "sound" or name == "unknown-input" or name.startswith(tuple(EDGE_FAULTS)):
+        assert sum(whole) == (name != "sound")
+        assert len(whole) >= 3  # the cut-out file and at least one piece were decoded first
+
+
 @pytest.fixture
 def index_builds(monkeypatch) -> list[Geometry]:
     """The geometries whose ``_label_index`` property builds an index, in call order."""
