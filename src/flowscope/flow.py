@@ -8,15 +8,17 @@ given f exactly when the induced influencing digraph is acyclic.
 The decision runs the backward greedy of Mhalla and Perdrix ("Finding
 optimal flows efficiently", arXiv:0709.2670) in O(n + m): starting from
 the outputs, a processed vertex with exactly one unprocessed neighbour
-becomes that neighbour's partner.  The greedy is complete, so every
-geometry is decided, and the flow it builds has minimum depth.  When it
-stalls, the vertices it never processed, the obstruction S, form a
-no-flow certificate, and completing the greedy's partial matching names
-the reason.  No greedy partner has a neighbour in S, so the completion
-and the search for a cycle of a ``cyclic-D`` verdict work on S, its
-neighbours and what S reaches, and no loop runs over the whole graph: a
-no-flow verdict costs about one greedy pass.  Every verdict's certificate is
-checked in one place, ``_certificate_holds``.
+becomes that neighbour's partner.  It keeps one count per vertex and
+reads only the neighbour lists of the vertices it processes, so a greedy
+that stalls early costs little more than its O(n) set-up.  The greedy is
+complete, so every geometry is decided, and the flow it builds has
+minimum depth.  When it stalls, the vertices it never processed, the
+obstruction S, form a no-flow certificate, and completing the greedy's
+partial matching names the reason.  No greedy partner has a neighbour in
+S, so the completion and the search for a cycle of a ``cyclic-D`` verdict
+work on S, its neighbours and what S reaches, and no loop runs over the
+whole graph: a no-flow verdict costs about one greedy pass.  Every
+verdict's certificate is checked in one place, ``_certificate_holds``.
 """
 
 from __future__ import annotations
@@ -342,26 +344,23 @@ def _backward_greedy(geom: Geometry) -> tuple[list[int], list[int], list[int]]:
     A corrector is a processed non-input vertex not yet used as a partner.
     In each round every corrector with exactly one unprocessed neighbour u
     claims it, the smallest corrector winning ties, and all claimed
-    vertices form the next layer.  Per vertex the count of unprocessed
-    neighbours and the XOR of their ids are kept, so a count of one names
-    the neighbour, and a corrector is queued when its count drops to one.
+    vertices form the next layer.  Only the count of unprocessed
+    neighbours is kept per vertex.  A corrector is queued when its count
+    drops to one, and u is found by scanning the corrector's neighbours
+    when it is considered.  A vertex is queued only as an output, when its
+    count drops to one or when it is claimed, so at most three times, and
+    the scans cost O(n + m) in all.  Past the O(n) set-up, a greedy that
+    stalls early reads only the edges of the vertices it processed.
     """
     n = geom.vertex_count
     adj = geom.graph.adjacency
     inputs = geom.inputs
     processed = [False] * n
+    count = list(map(len, adj))
     for v in geom.outputs:
         processed[v] = True
-    count = [0] * n
-    xor = [0] * n
-    for v, nbrs in enumerate(adj):
-        c = x = 0
-        for w in nbrs:
-            if not processed[w]:
-                c += 1
-                x ^= w
-        count[v] = c
-        xor[v] = x
+        for w in adj[v]:
+            count[w] -= 1
     used = [False] * n
     image = [-1] * n
     layer = [0] * n
@@ -371,8 +370,12 @@ def _backward_greedy(geom: Geometry) -> tuple[list[int], list[int], list[int]]:
         claims: dict[int, int] = {}
         for v in ready:
             # Skip entries whose last neighbour was claimed after they were queued.
-            if count[v] == 1 and claims.get(xor[v], n) > v:
-                claims[xor[v]] = v
+            if count[v] == 1:
+                for u in adj[v]:
+                    if not processed[u]:
+                        break
+                if claims.get(u, n) > v:
+                    claims[u] = v
         if not claims:
             break
         depth += 1
@@ -383,14 +386,13 @@ def _backward_greedy(geom: Geometry) -> tuple[list[int], list[int], list[int]]:
             layer[u] = depth
             for w in adj[u]:
                 count[w] -= 1
-                xor[w] ^= u
                 if count[w] == 1 and processed[w] and not used[w] and w not in inputs:
                     ready.append(w)
         for u in claims:
             processed[u] = True
             if count[u] == 1 and u not in inputs:
                 ready.append(u)
-    return image, layer, [v for v in range(n) if not processed[v]]
+    return image, layer, [v for v in range(n) if not processed[v]] if False in processed else []
 
 
 def find_causal_flow(geom: Geometry) -> FlowSearchResult:
@@ -414,7 +416,7 @@ def find_causal_flow(geom: Geometry) -> FlowSearchResult:
     image, layer, unprocessed = _backward_greedy(geom)
     if not unprocessed:
         depth = max(layer, default=0)
-        flow = CausalFlow(SuccessorFunction(tuple(image)), tuple(depth - l for l in layer))
+        flow = CausalFlow(SuccessorFunction(tuple(image)), tuple(map(depth.__sub__, layer)))
         return FlowSearchResult("found", flow=flow)
 
     obstruction = tuple(unprocessed)

@@ -468,6 +468,54 @@ class TestPathCover:
             verify_flow(geom, loaded)
 
 
+class TestBackwardGreedy:
+    @pytest.mark.parametrize(
+        "edges, expected",
+        [
+            # Outputs 0 and 1 both have 2 as their last unprocessed neighbour.
+            ([(0, 2), (1, 2)], ([-1, -1, 0], [0, 0, 1])),
+            # 0 claims 3 and 1 claims 2, so 3 is queued before 2; both then have 4 last.
+            ([(0, 3), (1, 2), (2, 4), (3, 4)], ([-1, -1, 1, 0, 2], [0, 0, 1, 1, 2])),
+        ],
+        ids=["outputs", "queued-in-falling-order"],
+    )
+    def test_the_smallest_corrector_wins_a_tie(self, edges, expected):
+        n = len(expected[0])
+        geom = Geometry(Graph.from_edges(n, edges), frozenset(), frozenset({0, 1}))
+        assert _backward_greedy(geom) == (*expected, [])
+        assert find_causal_flow(geom).flow.successor.image == tuple(expected[0])
+
+    def test_a_corrector_whose_last_neighbour_is_claimed_in_the_same_round_never_claims(self):
+        # Output 2's count falls to one when 0 claims 3, so 2 is queued; then
+        # 1 claims 4, 2's last neighbour, in the same round.  The stale entry
+        # must not make 2 claim 4 as well.
+        geom = Geometry(Graph.from_edges(5, [(0, 3), (1, 4), (2, 3), (2, 4)]), frozenset(), frozenset({0, 1, 2}))
+        assert _backward_greedy(geom) == ([-1, -1, -1, 0, 1], [0, 0, 0, 1, 1], [])
+
+    def test_a_hub_that_becomes_ready_last_claims_its_last_neighbour(self):
+        # The output hub 0 is adjacent to every vertex of the path 1 - 2 - ... - 199,
+        # whose end 1 is the other output.  Each round claims one more path
+        # vertex, and the hub's count falls to one only in the last round,
+        # when it beats 198 to 199, the last entry of its neighbour list.
+        n = 200
+        edges = [(0, v) for v in range(1, n)] + [(v, v + 1) for v in range(1, n - 1)]
+        geom, reads = counting_geometry(Geometry(Graph.from_edges(n, edges), frozenset(), frozenset({0, 1})))
+        image, layer, unprocessed = _backward_greedy(geom)
+        assert image == [-1, -1, *range(1, n - 2), 0]
+        assert layer == [0, 0, *range(1, n - 1)]
+        assert unprocessed == []
+        # Each list is read at most twice: as an output or when claimed, and when considered.
+        assert reads[0] <= 2 * 2 * geom.graph.edge_count
+        assert verify_flow(geom, find_causal_flow(geom).flow)
+
+    def test_a_greedy_that_stalls_early_reads_only_the_vertices_it_processes(self):
+        geom, reads = counting_geometry(random_sparse_geometry(random.Random(30), 4000, 12_000, 5))
+        _image, _layer, unprocessed = _backward_greedy(geom)
+        processed = set(range(geom.vertex_count)) - set(unprocessed)
+        assert 5 <= len(processed) < 100
+        assert reads[0] <= 2 * sum(len(geom.graph.adjacency[v]) for v in processed)
+
+
 class TestFindCausalFlow:
     def test_six_cycle_no_flow(self, six_cycle):
         res = find_causal_flow(six_cycle)

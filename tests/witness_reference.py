@@ -1,12 +1,14 @@
-"""The no-flow witness as it was before it was confined to the obstruction.
+"""The backward greedy and the no-flow witness as they were before they were made cheaper.
 
-``find_causal_flow`` once completed the greedy's matching over the whole
-graph: it built the owner of every partner, and each phase layered every
-measured vertex from every free partner.  It then ranked the whole
-influencing digraph of the completed f to find a cycle.  These are those
-routines, kept verbatim as the reference that the witness sweep compares
-the package's ``find_causal_flow`` with; they share only the edge gate
-and the backward greedy with it.  Not public API.
+The greedy once seeded a count and an XOR of the unprocessed neighbours
+of every vertex from all 2m adjacency entries, so that a count of one
+named the last neighbour.  ``find_causal_flow`` once completed the
+greedy's matching over the whole graph: it built the owner of every
+partner, and each phase layered every measured vertex from every free
+partner.  It then ranked the whole influencing digraph of the completed
+f to find a cycle.  These are those routines, kept verbatim as the
+reference that the greedy and witness sweeps compare the package with;
+they share only the edge gate with it.  Not public API.
 """
 
 from __future__ import annotations
@@ -14,14 +16,14 @@ from __future__ import annotations
 from typing import Sequence
 
 from flowscope import CausalFlow, FlowSearchResult, Geometry, SuccessorFunction
-from flowscope.flow import _backward_greedy, _exceeds_gamma
+from flowscope.flow import _exceeds_gamma
 
 
 def reference_find_causal_flow(geom: Geometry) -> FlowSearchResult:
     """``find_causal_flow``, with the matching completed and the cycle found over the whole graph."""
     if _exceeds_gamma(geom):
         return FlowSearchResult("no-flow", reason="edge-bound")
-    image, layer, unprocessed = _backward_greedy(geom)
+    image, layer, unprocessed = reference_backward_greedy(geom)
     if not unprocessed:
         depth = max(layer, default=0)
         flow = CausalFlow(SuccessorFunction(tuple(image)), tuple(depth - l for l in layer))
@@ -33,6 +35,64 @@ def reference_find_causal_flow(geom: Geometry) -> FlowSearchResult:
     if cycle is None:
         raise AssertionError("backward greedy stalled on a geometry that has a flow")
     return FlowSearchResult("no-flow", reason="cyclic-D", cycle=cycle, obstruction=obstruction)
+
+
+def reference_backward_greedy(geom: Geometry) -> tuple[list[int], list[int], list[int]]:
+    """The image of f and the layers, from the outputs backwards, plus the unprocessed rest.
+
+    A corrector is a processed non-input vertex not yet used as a partner.
+    In each round every corrector with exactly one unprocessed neighbour u
+    claims it, the smallest corrector winning ties, and all claimed
+    vertices form the next layer.  Per vertex the count of unprocessed
+    neighbours and the XOR of their ids are kept, so a count of one names
+    the neighbour, and a corrector is queued when its count drops to one.
+    This is the greedy as it was before it kept counts only.
+    """
+    n = geom.vertex_count
+    adj = geom.graph.adjacency
+    inputs = geom.inputs
+    processed = [False] * n
+    for v in geom.outputs:
+        processed[v] = True
+    count = [0] * n
+    xor = [0] * n
+    for v, nbrs in enumerate(adj):
+        c = x = 0
+        for w in nbrs:
+            if not processed[w]:
+                c += 1
+                x ^= w
+        count[v] = c
+        xor[v] = x
+    used = [False] * n
+    image = [-1] * n
+    layer = [0] * n
+    depth = 0
+    ready = [v for v in geom.outputs if count[v] == 1 and v not in inputs]
+    while ready:
+        claims: dict[int, int] = {}
+        for v in ready:
+            # Skip entries whose last neighbour was claimed after they were queued.
+            if count[v] == 1 and claims.get(xor[v], n) > v:
+                claims[xor[v]] = v
+        if not claims:
+            break
+        depth += 1
+        ready = []
+        for u, v in claims.items():
+            image[u] = v
+            used[v] = True
+            layer[u] = depth
+            for w in adj[u]:
+                count[w] -= 1
+                xor[w] ^= u
+                if count[w] == 1 and processed[w] and not used[w] and w not in inputs:
+                    ready.append(w)
+        for u in claims:
+            processed[u] = True
+            if count[u] == 1 and u not in inputs:
+                ready.append(u)
+    return image, layer, [v for v in range(n) if not processed[v]]
 
 
 def reference_complete_matching(geom: Geometry, image: list[int], exposed: list[int]) -> bool:
