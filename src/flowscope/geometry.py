@@ -16,10 +16,11 @@ one place that names a file's first fault.  The label index behind
 resolved its file.
 
 Reading and writing a geometry file makes no object per edge beyond what
-the JSON parser builds.  ``load_geometry`` pops each parsed label pair
-and links it straight into the neighbour lists, so the parser's lists and
-strings are freed while the graph grows, and it decodes a large file's
-edge list a piece at a time, so they are never all alive at once;
+the JSON parser builds.  ``load_geometry`` links the parsed label pairs
+straight into the neighbour lists a piece or a chunk at a time, so the
+parser's lists and strings are freed while the graph grows, and it
+decodes a large file's edge list a piece at a time, so they are never all
+alive at once;
 ``serialize_geometry`` makes the text with one join over pieces shared per
 label.  Loading a file in ``serialize_geometry``'s layout holds at most
 about 2 times its length at once (any other layout about 5.3 times what
@@ -361,6 +362,8 @@ _KEY_SET = frozenset(FILE_KEYS)
 
 # Characters of a large geometry file's edge list decoded at once (see ``load_geometry``).
 _PIECE = 1 << 14
+# Pairs of a whole-decoded edge list linked at once (see ``_load``).
+_CHUNK = 1 << 10
 
 
 def load_json_object(text: str, keys: tuple[str, ...], error: type[ValueError], kind: str) -> dict:
@@ -495,16 +498,23 @@ def _decode(text: str) -> object:
         return None
 
 
+def _tail_chunks(pairs: list) -> Iterator[list]:
+    """``pairs`` cut off its end ``_CHUNK`` pairs at a time, so each chunk is freed once it is linked."""
+    while pairs:
+        chunk = pairs[-_CHUNK:]
+        del pairs[-_CHUNK:]
+        yield chunk
+
+
 def _link(pairs: list, index: dict[str, int], adj: list[list[int]]) -> bool:
-    """Pop each label pair off ``pairs`` and link it into ``adj``.
+    """Link each label pair of ``pairs`` into ``adj``.
 
     False at the first item that is not a pair of labels in ``index``.
     """
     if not set(map(type, pairs)) <= {list}:  # a string such as "ab" would unpack into two labels
         return False
     try:
-        while pairs:
-            a, b = pairs.pop()
+        for a, b in pairs:
             u, v = index[a], index[b]
             adj[u].append(v)
             adj[v].append(u)
@@ -520,8 +530,12 @@ def _load(text: str, pieces: Iterator[list] | None = None) -> Geometry | None:
     every value a list; the labels are strings whose index has an entry
     for each and no ``""``; every pair links (see ``_link``) into a
     simple graph; and the inputs and the outputs map to as many distinct
-    ids as they have items.  The edges are popped from the parsed list
-    straight into the neighbour lists, so no list of edge ends is made.
+    ids as they have items.  The parsed edge list is cut off its end in
+    chunks of ``_CHUNK`` pairs, each linked straight into the neighbour
+    lists and then freed, so no list of edge ends is made and the parsed
+    pairs are freed while the graph grows.  The order in which pairs are
+    linked does not matter: the lists are sorted, and a refused file's
+    first fault is named by ``_name_fault``.
 
     With ``pieces``, ``text`` is the file with its edge list cut out and
     ``pieces`` yields that list's pairs; a refused cut-out file, or a
@@ -541,9 +555,9 @@ def _load(text: str, pieces: Iterator[list] | None = None) -> Geometry | None:
             raise GeometryError("the file with its edge list cut out is refused")
         return None
 
-    # The bulk of a whole file: each pair is popped, and so freed, as it is linked.
+    # The bulk of a whole file: each chunk of pairs is freed once it is linked.
     if pieces is None:
-        pieces = [edges]
+        pieces = _tail_chunks(edges)
     del edges
     adj: list[list[int]] = [[] for _ in range(n)]
     m = 0
@@ -554,7 +568,7 @@ def _load(text: str, pieces: Iterator[list] | None = None) -> Geometry | None:
             break
     else:
         graph = _simple_graph(adj, m)
-    del pieces, pairs, adj
+    del pieces, adj
     if graph is None:
         return None
 

@@ -9,7 +9,7 @@ lexicographic (position, path) order certifies acyclicity, and the
 position sums of the connecting edges between two paths are distinct.
 ``orbit_counting_holds`` checks the counting behind gamma(n, k) on any
 flow, not only on the construction's.  The unit tests run them at desk
-sizes and the CI smoke step at n = 40000.  Not public API.
+sizes and ``tests/test_scale.py`` at n = 40000.  Not public API.
 """
 
 from __future__ import annotations

@@ -185,13 +185,15 @@ class TestTransientMemory:
         text, serialize_peak = traced_peak(lambda: serialize_geometry(geom))
         loaded, load_peak = traced_peak(lambda: load_geometry(text))
         assert serialize_geometry(loaded) == text
-        # Written compact, the same geometry's edge list is decoded whole.
+        # Written compact, the same geometry's edge list is decoded whole and
+        # linked a chunk of pairs at a time from its end.
         compact = json.dumps(json.loads(text))
         whole, whole_peak = traced_peak(lambda: load_geometry(compact))
         assert whole == loaded
         # The finished text plus shared per-label pieces, the built graph
-        # plus one piece of the edge list, and the whole parsed file plus
-        # the built graph, as multiples of the indented file's length.
+        # plus one piece of the edge list, and the whole parsed file, less
+        # each chunk of pairs once it is linked, plus the built graph, as
+        # multiples of the indented file's length.
         assert serialize_peak <= 4.5 * len(text), serialize_peak / len(text)
         assert load_peak <= 2.5 * len(text), load_peak / len(text)
         assert whole_peak <= 5.5 * len(text), whole_peak / len(text)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from functools import cached_property
 
 import pytest
@@ -239,6 +240,27 @@ def test_file_in_the_layout_is_decoded_whole_at_most_twice(monkeypatch, name):
     if name == "sound" or name == "unknown-input" or name.startswith(tuple(EDGE_FAULTS)):
         assert sum(whole) == (name != "sound")
         assert len(whole) >= 3  # the cut-out file and at least one piece were decoded first
+
+
+LINK_FAULTS = {"non-list-pair": "expected a 2-element list of labels", "unknown-label": "unknown vertex label 'zz'"}
+
+
+@pytest.mark.parametrize("late", sorted(LINK_FAULTS))
+@pytest.mark.parametrize("early", sorted(LINK_FAULTS))
+def test_compact_file_names_the_earlier_of_faults_in_two_chunks(early, late):
+    # A compact file's edge list is decoded whole and linked a chunk at a
+    # time from its end, so the late fault stops the link in the first
+    # chunk, two chunks before the one holding the early fault; the namer
+    # must still name edges[5], the first fault in file order.
+    labels = [f"v{i}" for i in range(3 * geometry._CHUNK)]
+    data = ring(labels)
+    m = len(data["edges"])
+    for pos, fault in ((5, early), (m - 5, late)):
+        data["edges"][pos] = EDGE_FAULTS[fault](data["edges"], pos)
+    chunk = [(m - 1 - pos) // geometry._CHUNK for pos in (m - 5, 5)]  # counted from the end
+    assert chunk == [0, 2]
+    with pytest.raises(GeometryError, match=rf"^edges\[5\]: {re.escape(LINK_FAULTS[early])}$"):
+        load_geometry(json.dumps(data))
 
 
 @pytest.fixture

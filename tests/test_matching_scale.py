@@ -5,7 +5,7 @@ On a geometry with k >= 1 outputs that the edge gate passes,
 gives every measured vertex its own partner among its non-input
 neighbours.  networkx finds a maximum matching of that bipartite graph
 with no code in common with the package.  Tier-1 runs the check up to
-n = 2000; a CI step runs ``assert_no_cover_iff_unmatchable`` at n = 10000.
+n = 2000; ``python -m pytest -m scale`` runs it at n = 10000.
 """
 
 from __future__ import annotations
@@ -104,7 +104,9 @@ def assert_no_cover_iff_unmatchable(geom: Geometry) -> str:
     return result.reason
 
 
-@pytest.mark.parametrize("n, count", [(20, 300), (200, 60), (2000, 12)])
+@pytest.mark.parametrize(
+    "n, count", [(20, 300), (200, 60), (2000, 12), pytest.param(10000, 8, marks=pytest.mark.scale)]
+)
 def test_no_cover_exactly_when_hopcroft_karp_leaves_a_vertex_unmatched(n, count):
     rng = random.Random(n)
     reasons = [assert_no_cover_iff_unmatchable(random_gated_geometry(rng, n)) for _ in range(count)]

@@ -2,7 +2,7 @@
 
 Each relation holds for the greedy alone, so it needs no oracle and runs
 at the sizes the paper is about.  The ``assert_*`` helpers are also run
-at n = 40000 by a CI smoke step.
+at n = 40000 by ``tests/test_scale.py``.
 """
 
 from __future__ import annotations
