@@ -12,13 +12,16 @@ becomes that neighbour's partner.  It keeps one count per vertex and
 reads only the neighbour lists of the vertices it processes, so a greedy
 that stalls early costs little more than its O(n) set-up.  The greedy is
 complete, so every geometry is decided, and the flow it builds has
-minimum depth.  When it stalls, the vertices it never processed, the
-obstruction S, form a no-flow certificate, and completing the greedy's
-partial matching names the reason.  No greedy partner has a neighbour in
-S, so the completion and the search for a cycle of a ``cyclic-D`` verdict
-work on S, its neighbours and what S reaches, and no loop runs over the
-whole graph: a no-flow verdict costs about one greedy pass.  Every
-verdict's certificate is checked in one place, ``_certificate_holds``.
+minimum depth.  A round of the greedy costs only the vertices it claims,
+which matters on the paper's gamma-saturating geometries: each round
+there claims one vertex, so the greedy runs n - k rounds.  When it
+stalls, the vertices it never processed, the obstruction S, form a
+no-flow certificate, and completing the greedy's partial matching names
+the reason.  No greedy partner has a neighbour in S, so the completion
+and the search for a cycle of a ``cyclic-D`` verdict work on S, its
+neighbours and what S reaches, and no loop runs over the whole graph: a
+no-flow verdict costs about one greedy pass.  Every verdict's
+certificate is checked in one place, ``_certificate_holds``.
 """
 
 from __future__ import annotations
@@ -347,10 +350,22 @@ def _backward_greedy(geom: Geometry) -> tuple[list[int], list[int], list[int]]:
     vertices form the next layer.  Only the count of unprocessed
     neighbours is kept per vertex.  A corrector is queued when its count
     drops to one, and u is found by scanning the corrector's neighbours
-    when it is considered.  A vertex is queued only as an output, when its
-    count drops to one or when it is claimed, so at most three times, and
-    the scans cost O(n + m) in all.  Past the O(n) set-up, a greedy that
-    stalls early reads only the edges of the vertices it processed.
+    when it is considered.  Its count falls to zero once u is processed,
+    so a count of one also says that it is unused.
+
+    A round costs only its claims.  ``claimer[u]`` is the smallest
+    corrector that has claimed u, or n.  The list is made once and never
+    cleared, since a claimed vertex is processed and never claimed again,
+    and u's first claim also puts u on the round's list ``claimed``.  One
+    pass over that list sets the images and layers, marks each vertex
+    processed and lowers its neighbours' counts.  A claimed vertex is
+    queued when it is processed if its count is one then, or else when a
+    later one of the round lowers its count to one.  So every vertex is
+    queued at most once, and the scans cost O(n + m) in all.  This
+    matters on the gamma-saturating geometries, where every round claims
+    one vertex and the greedy runs n - k rounds.  Past the O(n) set-up, a
+    greedy that stalls early reads only the edges of the vertices it
+    processed.
     """
     n = geom.vertex_count
     adj = geom.graph.adjacency
@@ -361,37 +376,39 @@ def _backward_greedy(geom: Geometry) -> tuple[list[int], list[int], list[int]]:
         processed[v] = True
         for w in adj[v]:
             count[w] -= 1
-    used = [False] * n
     image = [-1] * n
     layer = [0] * n
     depth = 0
     ready = [v for v in geom.outputs if count[v] == 1 and v not in inputs]
+    claimer = [n] * n
     while ready:
-        claims: dict[int, int] = {}
+        claimed = []
         for v in ready:
             # Skip entries whose last neighbour was claimed after they were queued.
             if count[v] == 1:
                 for u in adj[v]:
                     if not processed[u]:
                         break
-                if claims.get(u, n) > v:
-                    claims[u] = v
-        if not claims:
+                c = claimer[u]
+                if c == n:
+                    claimed.append(u)
+                    claimer[u] = v
+                elif c > v:
+                    claimer[u] = v
+        if not claimed:
             break
         depth += 1
         ready = []
-        for u, v in claims.items():
-            image[u] = v
-            used[v] = True
+        for u in claimed:
+            image[u] = claimer[u]
             layer[u] = depth
-            for w in adj[u]:
-                count[w] -= 1
-                if count[w] == 1 and processed[w] and not used[w] and w not in inputs:
-                    ready.append(w)
-        for u in claims:
             processed[u] = True
             if count[u] == 1 and u not in inputs:
                 ready.append(u)
+            for w in adj[u]:
+                count[w] -= 1
+                if count[w] == 1 and processed[w] and w not in inputs:
+                    ready.append(w)
     return image, layer, [v for v in range(n) if not processed[v]] if False in processed else []
 
 

@@ -317,7 +317,7 @@ class Geometry(_Record):
     def id_of(self, label: str) -> int:
         try:
             return self._label_index[label]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable label, such as a list
             raise GeometryError(f"unknown vertex label {label!r}") from None
 
 

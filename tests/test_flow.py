@@ -50,6 +50,7 @@ from .conftest import (
 from .digraph_reference import acyclic_order, influence_arcs, influence_order
 from .extremal_reference import iter_influence_arcs, orbit_counting_holds
 from .json_reference import reference_dump_flow
+from .witness_reference import reference_backward_greedy
 
 
 # 4-cycle with no inputs and two adjacent outputs: it has a flow and four
@@ -492,6 +493,31 @@ class TestBackwardGreedy:
         geom = Geometry(Graph.from_edges(5, [(0, 3), (1, 4), (2, 3), (2, 4)]), frozenset(), frozenset({0, 1, 2}))
         assert _backward_greedy(geom) == ([-1, -1, -1, 0, 1], [0, 0, 0, 1, 1], [])
 
+    @pytest.mark.parametrize("parts", [(90, 110), (1, 1, 148), (3, 4, 5), (2,) * 6, (1,), (7,)])
+    def test_an_extremal_geometry_takes_one_round_per_measured_vertex(self, parts):
+        # On the gamma-saturating geometries each round claims exactly one
+        # vertex, so the greedy runs n - k rounds: the worst case for the
+        # cost of a round.
+        geom, _ = generate_extremal(ExtremalPartition(parts))
+        _image, layer, unprocessed = _backward_greedy(geom)
+        rounds = geom.vertex_count - len(parts)
+        assert sorted(layer) == [0] * len(parts) + list(range(1, rounds + 1))
+        assert unprocessed == []
+
+    def test_a_vertex_claimed_in_a_round_can_become_a_corrector_later_in_that_round(self):
+        # 0 claims 2 and 1 claims 3 in the same round.  When 2 is processed
+        # its neighbour 3 is still unprocessed, so 2's count falls to one
+        # only when 3 is processed; 2 must be queued then, to claim 4.
+        cases = [
+            ([(0, 2), (1, 3), (2, 3), (2, 4), (3, 5)], [-1, -1, 0, 1, 2, 3]),
+            # Relabelled so that 3 is processed before 2.
+            ([(0, 3), (1, 2), (2, 3), (3, 4), (2, 5)], [-1, -1, 1, 0, 3, 2]),
+        ]
+        for edges, image in cases:
+            geom = Geometry(Graph.from_edges(6, edges), frozenset({4, 5}), frozenset({0, 1}))
+            expected = (image, [0, 0, 1, 1, 2, 2], [])
+            assert _backward_greedy(geom) == expected == reference_backward_greedy(geom)
+
     def test_a_hub_that_becomes_ready_last_claims_its_last_neighbour(self):
         # The output hub 0 is adjacent to every vertex of the path 1 - 2 - ... - 199,
         # whose end 1 is the other output.  Each round claims one more path
@@ -507,6 +533,17 @@ class TestBackwardGreedy:
         # Each list is read at most twice: as an output or when claimed, and when considered.
         assert reads[0] <= 2 * 2 * geom.graph.edge_count
         assert verify_flow(geom, find_causal_flow(geom).flow)
+
+    def test_every_neighbour_list_is_read_once_when_processed_and_once_when_considered(self):
+        # In a grid a claimed vertex's count often falls to one only when
+        # its column neighbours, claimed in the same round, are processed.
+        # It must be queued once, so that the next round scans its list once.
+        geom, reads = counting_geometry(grid_geometry(6, 8))
+        _image, _layer, unprocessed = _backward_greedy(geom)
+        assert unprocessed == []
+        # Every vertex is processed, and every non-input is considered once.
+        considered = [nbrs for v, nbrs in enumerate(geom.graph.adjacency) if v not in geom.inputs]
+        assert reads[0] == 2 * geom.graph.edge_count + sum(map(len, considered))
 
     def test_a_greedy_that_stalls_early_reads_only_the_vertices_it_processes(self):
         geom, reads = counting_geometry(random_sparse_geometry(random.Random(30), 4000, 12_000, 5))

@@ -170,6 +170,14 @@ class TestGeometryModel:
         with pytest.raises(GeometryError, match="^unknown vertex 2$"):
             geom.label_of(2)
 
+    @pytest.mark.parametrize("label", [None, 1, "z", ["a"], {"a": 1}], ids=repr)
+    def test_id_of_an_unknown_label(self, label):
+        # An unhashable label is unknown too, not a TypeError.
+        geom = Geometry(Graph.from_edges(2, [(0, 1)]), frozenset(), frozenset(), ["a", "b"])
+        with pytest.raises(GeometryError) as exc:
+            geom.id_of(label)
+        assert str(exc.value) == f"unknown vertex label {label!r}"
+
     def test_labels_indexed_on_construction(self):
         geom = Geometry(Graph.from_edges(2, [(0, 1)]), frozenset(), frozenset(), ["x", "y"])
         assert geom.labels == ("x", "y")
